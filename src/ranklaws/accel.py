@@ -1,77 +1,57 @@
-"""Hot numeric kernels, JIT-compiled when numba is available.
+"""Hot numeric kernels, one numpy implementation each.
 
-Two loops dominate runtime: the preferential-attachment allocation (one
-draw per step, inherently sequential) and the profiled no-intercept
-regression evaluated once per golden-section probe. Each kernel has a
-plain numpy implementation; ``RANKLAWS_NUMBA=0`` (or ``false``/``off``/
-``no``) forces the fallback, otherwise the JIT path is used whenever
-numba imports. Both Simon paths run identical integer logic on the same
-pre-drawn uniforms and return bit-identical arrays; the regression paths
-differ only in float summation order (sub-ulp per term).
-
-Both implementations of each kernel stay importable so benchmarks can
-time them side by side.
+Two kernels dominate runtime: the preferential-attachment allocation of
+the Simon process and the profiled no-intercept regression evaluated once
+per golden-section probe. Callers look both up on this module at call
+time, so a profiler can wrap them here.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("RANKLAWS_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
+# No compiled backend exists; kept because benchmark import probes read it.
 NUMBA_ENABLED = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        NUMBA_ENABLED = True
 
 
-def simon_owners_numpy(u_new: np.ndarray, u_pick: np.ndarray, p_new: float) -> np.ndarray:
+def simon_owners(u_new: np.ndarray, u_pick: np.ndarray, p_new: float) -> np.ndarray:
     """Allocate steps to sources; owners[t] is the 0-based source of item t.
 
     Item 0 always belongs to source 0. For step t >= 1: if u_new[t-1] <
     p_new a fresh source is created, otherwise the item goes to the owner
     of a uniformly chosen past item, which realizes selection proportional
     to current counts.
+
+    Every item points at itself (a new source) or at an earlier item, so
+    the pointers form a forest whose roots are the sources. Pointer
+    jumping (Wyllie's list ranking) halves every path per round and
+    reaches the roots in at most ceil(log2(steps)) + 1 rounds.
     """
     steps = u_new.shape[0] + 1
-    owners = np.zeros(steps, dtype=np.int64)
     is_new = u_new < p_new
-    new_ids = np.cumsum(is_new)
+    ids = np.arange(steps, dtype=np.int64)
+    parent = np.zeros(steps, dtype=np.int64)
     # int(u*t) with u just below 1.0 can round up to t; clamp to t-1.
-    picks = np.minimum((u_pick * np.arange(1, steps)).astype(np.int64), np.arange(steps - 1))
-    for t in range(1, steps):
-        owners[t] = new_ids[t - 1] if is_new[t - 1] else owners[picks[t - 1]]
-    return owners
+    np.copyto(parent[1:], u_pick * ids[1:], casting="unsafe")
+    np.minimum(parent[1:], ids[:-1], out=parent[1:])
+    np.copyto(parent[1:], ids[1:], where=is_new)
+    # From here ids holds each root's source number: the count of new
+    # sources up to it.
+    np.cumsum(is_new, out=ids[1:])
+    # Every index is in range; mode="clip" lets take write straight into
+    # out, where the default mode="raise" buffers a whole extra array.
+    nxt = np.empty_like(parent)
+    while True:
+        np.take(parent, parent, out=nxt, mode="clip")
+        if np.array_equal(nxt, parent):
+            break
+        parent, nxt = nxt, parent
+    return np.take(ids, parent, out=nxt, mode="clip")
 
 
-def _simon_owners_loop(u_new: np.ndarray, u_pick: np.ndarray, p_new: float) -> np.ndarray:
-    steps = u_new.shape[0] + 1
-    owners = np.zeros(steps, dtype=np.int64)
-    n_new = 0
-    for t in range(1, steps):
-        if u_new[t - 1] < p_new:
-            n_new += 1
-            owners[t] = n_new
-        else:
-            j = int(u_pick[t - 1] * t)
-            if j > t - 1:
-                j = t - 1
-            owners[t] = owners[j]
-    return owners
-
-
-def mandelbrot_profile_numpy(log_values: np.ndarray, rho: float) -> tuple[float, float]:
+def mandelbrot_profile(log_values: np.ndarray, rho: float) -> tuple[float, float]:
     """Best no-intercept slope and its SSE for the shifted-rank regressor.
 
     Regresses log_values on x_r = log(n+rho) - log(r+rho) without an
@@ -86,37 +66,3 @@ def mandelbrot_profile_numpy(log_values: np.ndarray, rho: float) -> tuple[float,
     slope = float(np.dot(x, log_values)) / sxx
     resid = log_values - slope * x
     return slope, float(np.dot(resid, resid))
-
-
-def _mandelbrot_profile_loop(log_values: np.ndarray, rho: float) -> tuple[float, float]:
-    n = log_values.shape[0]
-    top = math.log(n + rho)
-    sxx = 0.0
-    sxy = 0.0
-    for r in range(1, n + 1):
-        x = top - math.log(r + rho)
-        sxx += x * x
-        sxy += x * log_values[r - 1]
-    if sxx == 0.0:
-        sse = 0.0
-        for i in range(n):
-            sse += log_values[i] * log_values[i]
-        return 0.0, sse
-    slope = sxy / sxx
-    sse = 0.0
-    for r in range(1, n + 1):
-        d = log_values[r - 1] - slope * (top - math.log(r + rho))
-        sse += d * d
-    return slope, sse
-
-
-if NUMBA_ENABLED:
-    simon_owners_jit = njit(cache=True)(_simon_owners_loop)
-    mandelbrot_profile_jit = njit(cache=True)(_mandelbrot_profile_loop)
-    simon_owners = simon_owners_jit
-    mandelbrot_profile = mandelbrot_profile_jit
-else:
-    simon_owners_jit = None
-    mandelbrot_profile_jit = None
-    simon_owners = simon_owners_numpy
-    mandelbrot_profile = mandelbrot_profile_numpy

@@ -84,8 +84,8 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     one-item source with probability p_new, otherwise awards the item to
     the owner of a uniformly chosen past item, i.e. to an existing source
     with probability proportional to its count. All uniforms are drawn up
-    front so the loop itself is RNG-free (and JIT-friendly); results do
-    not depend on the accelerator backend.
+    front, so ``accel.simon_owners`` resolves every owner with array
+    operations and no RNG calls.
     """
     rng = np.random.default_rng(config.seed)
     u_new = rng.random(config.steps - 1)

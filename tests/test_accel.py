@@ -1,11 +1,6 @@
-"""Backend parity between the compiled kernels and the numpy fallbacks."""
+"""The numpy kernels against plain reference computations."""
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,24 +12,33 @@ def random_kernel_inputs(rng, steps):
     return rng.random(steps - 1), rng.random(steps - 1)
 
 
+def reference_simon_owners(u_new, u_pick, p_new):
+    """The allocation as one sequential loop, step by step."""
+    steps = u_new.shape[0] + 1
+    owners = np.zeros(steps, dtype=np.int64)
+    n_new = 0
+    for t in range(1, steps):
+        if u_new[t - 1] < p_new:
+            n_new += 1
+            owners[t] = n_new
+        else:
+            j = int(u_pick[t - 1] * t)
+            if j > t - 1:
+                j = t - 1
+            owners[t] = owners[j]
+    return owners
+
+
 class TestSimonParity:
     def test_numpy_and_loop_agree(self):
         rng = np.random.default_rng(0)
-        for steps in (1, 2, 3, 17, 1000):
+        for steps in (1, 2, 3, 17, 1000, 100_000):
             u_new, u_pick = random_kernel_inputs(rng, steps)
             for p_new in (0.05, 0.5, 0.95):
-                a = accel.simon_owners_numpy(u_new, u_pick, p_new)
-                b = accel._simon_owners_loop(u_new, u_pick, p_new)
+                a = accel.simon_owners(u_new, u_pick, p_new)
+                b = reference_simon_owners(u_new, u_pick, p_new)
+                assert a.dtype == np.int64
                 assert np.array_equal(a, b)
-
-    @pytest.mark.skipif(not accel.NUMBA_ENABLED, reason="compiled backend disabled")
-    def test_jit_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        for steps in (2, 500, 5000):
-            u_new, u_pick = random_kernel_inputs(rng, steps)
-            a = accel.simon_owners_numpy(u_new, u_pick, 0.1)
-            b = accel.simon_owners_jit(u_new, u_pick, 0.1)
-            assert np.array_equal(a, b)
 
     def test_pick_index_clamped_at_upper_edge(self):
         # u_pick of exactly 1.0 would index one past the known slots without
@@ -43,61 +47,43 @@ class TestSimonParity:
         u_pick = np.array([1.0, 1.0])
         owners = accel.simon_owners(u_new, u_pick, 0.5)
         assert owners.tolist() == [0, 0, 0]
+        # Item 3 must copy item 2 (source 0); pointing at itself instead
+        # would make it a root and give it the newest source, 1.
+        owners = accel.simon_owners(np.array([0.1, 0.9, 0.9]), np.array([0.0, 0.0, 1.0]), 0.5)
+        assert owners.tolist() == [0, 1, 0, 0]
+
+    def test_deepest_forest_resolves_to_first_source(self):
+        # Item 1 founds source 1, item 2 copies item 0, and every later pick
+        # clamps to the previous item: a chain of depth steps - 2 down to
+        # item 0. Any item left short of the root by too few jumping rounds
+        # would read source 1.
+        steps = 1_000_000
+        u_new = np.full(steps - 1, 0.9)
+        u_new[0] = 0.1
+        u_pick = np.ones(steps - 1)
+        u_pick[1] = 0.0
+        owners = accel.simon_owners(u_new, u_pick, 0.5)
+        expected = np.zeros(steps, dtype=np.int64)
+        expected[1] = 1
+        assert np.array_equal(owners, expected)
 
 
 class TestMandelbrotProfileParity:
-    @pytest.mark.skipif(not accel.NUMBA_ENABLED, reason="compiled backend disabled")
-    def test_jit_matches_numpy(self):
+    def test_matches_lstsq(self):
         rng = np.random.default_rng(2)
         for n in (3, 50, 400):
             log_values = np.sort(rng.normal(0, 1, n))[::-1].copy()
             for rho in (-0.5, 0.0, 3.7, 100.0):
-                s_np, sse_np = accel.mandelbrot_profile_numpy(log_values, rho)
-                s_jit, sse_jit = accel.mandelbrot_profile_jit(log_values, rho)
-                assert s_jit == pytest.approx(s_np, rel=1e-12)
-                assert sse_jit == pytest.approx(sse_np, rel=1e-12, abs=1e-15)
+                x = np.log((n + rho) / (np.arange(1.0, n + 1.0) + rho))
+                (ref_slope,), *_ = np.linalg.lstsq(x[:, None], log_values, rcond=None)
+                ref_sse = float(np.sum((log_values - ref_slope * x) ** 2))
+                slope, sse = accel.mandelbrot_profile(log_values, rho)
+                assert slope == pytest.approx(ref_slope, rel=1e-12)
+                assert sse == pytest.approx(ref_sse, rel=1e-12)
 
     def test_degenerate_regressor_guard(self):
         # n = 1 gives a single x that is exactly zero; the profile must not
         # divide by a zero sum of squares.
-        slope, sse = accel.mandelbrot_profile_numpy(np.array([0.7]), 2.0)
+        slope, sse = accel.mandelbrot_profile(np.array([0.7]), 2.0)
         assert slope == 0.0
         assert sse == pytest.approx(0.49)
-
-
-class TestEnvironmentToggle:
-    def test_flag_disables_compiled_backend(self):
-        code = (
-            "import json, numpy as np\n"
-            "from ranklaws import accel\n"
-            "import ranklaws as rl\n"
-            "series = rl.simulate_simon(rl.SimonConfig(p_new=0.1, steps=5000, seed=3))\n"
-            "rep = rl.fit_mandelbrot(rl.curve(rl.MandelbrotParams(rho=2.0, epsilon=0.3, n=50)))\n"
-            "print(json.dumps({'numba': accel.NUMBA_ENABLED,"
-            " 'counts': series.values[:20].tolist(),"
-            " 'rho': rep.params.rho, 'epsilon': rep.params.epsilon}))\n"
-        )
-        env = dict(os.environ, RANKLAWS_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        fallback = json.loads(out.stdout)
-        assert fallback["numba"] is False
-
-        import ranklaws as rl
-
-        series = rl.simulate_simon(rl.SimonConfig(p_new=0.1, steps=5000, seed=3))
-        rep = rl.fit_mandelbrot(rl.curve(rl.MandelbrotParams(rho=2.0, epsilon=0.3, n=50)))
-        assert series.values[:20].tolist() == fallback["counts"]
-        assert rep.params.rho == pytest.approx(fallback["rho"], abs=1e-9)
-        assert rep.params.epsilon == pytest.approx(fallback["epsilon"], abs=1e-9)
-
-    def test_default_exposes_both_implementations(self):
-        assert callable(accel.simon_owners_numpy)
-        assert callable(accel.mandelbrot_profile_numpy)
-        if accel.NUMBA_ENABLED:
-            assert accel.simon_owners is accel.simon_owners_jit
-            assert accel.mandelbrot_profile is accel.mandelbrot_profile_jit
-        else:
-            assert accel.simon_owners_jit is None
-            assert accel.simon_owners is accel.simon_owners_numpy

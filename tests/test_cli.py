@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,29 @@ class TestSimulateCommand:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(rl.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-m", "ranklaws", *args], env=env, capture_output=True, timeout=60
+        )
+
+    def test_same_bytes_as_main(self, capsysbinary):
+        argv = ["simulate", "--p-new", "0.1", "--steps", "1000", "--seed", "0"]
+        assert main(argv) == 0
+        proc = self.run_module(*argv)
+        assert proc.returncode == 0
+        assert proc.stdout == capsysbinary.readouterr().out
+
+    def test_bare_invocation_is_usage_error(self):
+        proc = self.run_module()
+        assert proc.returncode == 64
+        assert proc.stdout == b""
 
 
 class TestPlotdataCommand:
