@@ -146,13 +146,11 @@ def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, 
 
 
 def _format_params(params: models.ModelParams) -> str:
-    if isinstance(params, models.ZipfParams):
-        return f"K={params.k:.4f} alpha={params.alpha:.4f}"
-    if isinstance(params, models.MandelbrotParams):
-        return f"rho={params.rho:.4f} epsilon={params.epsilon:.4f}"
-    if isinstance(params, models.LavaletteParams):
-        return f"K={params.k:.4f} b={params.b:.4f}"
-    return f"K={params.k:.4f} a={params.a:.4f} b={params.b:.4f}"
+    return " ".join(
+        f"{'K' if field.name == 'k' else field.name}={getattr(params, field.name):.4f}"
+        for field in dataclasses.fields(params)
+        if field.name != "n"
+    )
 
 
 def _format_value(v: float) -> str:
@@ -191,34 +189,24 @@ def _cmd_compare(args) -> int:
 
 
 def _params_from_flags(args) -> models.ModelParams:
-    needed = {
-        "zipf": ("n", "k", "alpha"),
-        "mandelbrot": ("n", "rho", "epsilon"),
-        "lavalette": ("n", "k", "b"),
-        "beta-like": ("n", "k", "a", "b"),
-    }[args.model]
+    law = models.LAWS[args.model]
+    fields = [field.name for field in dataclasses.fields(law)]
+    needed = ["n"] + [name for name in fields if name != "n"]
     supplied = {f: getattr(args, f) for f in ("n", "k", "alpha", "a", "b", "rho", "epsilon")}
-    missing = [f for f in needed if supplied[f] is None]
-    if missing:
+    if any(supplied[f] is None for f in needed):
         raise _FlagError(f"model {args.model} requires " + " ".join(f"--{f}" for f in needed))
     extra = [f for f, v in supplied.items() if v is not None and f not in needed]
     if extra:
         raise _FlagError(f"--{extra[0]} does not apply to model {args.model}")
     try:
-        if args.model == "zipf":
-            return models.ZipfParams(k=args.k, alpha=args.alpha)
-        if args.model == "mandelbrot":
-            return models.MandelbrotParams(rho=args.rho, epsilon=args.epsilon, n=args.n)
-        if args.model == "lavalette":
-            return models.LavaletteParams(k=args.k, b=args.b, n=args.n)
-        return models.BetaLikeParams(k=args.k, a=args.a, b=args.b, n=args.n)
+        return law(**{name: supplied[name] for name in fields})
     except ValidationError as exc:
         raise _FlagError(str(exc)) from exc
 
 
 def _cmd_generate(args) -> int:
     params = _params_from_flags(args)
-    if args.n is not None and args.n < 1:
+    if args.n < 1:
         raise _FlagError(f"series length must be >= 1, got {args.n}")
     try:
         noise = NoiseSpec(sigma=args.sigma, seed=args.seed)

@@ -1,9 +1,12 @@
 """Least-squares fitting of the four laws on logarithmic values.
 
 Every fit minimizes the sum of squared residuals of log f(r) against the
-observed log values. The three K-bearing laws are exactly log-linear, so
-their estimates are closed-form ordinary least squares, solved through an
-orthogonal decomposition of centered regressors (never by iterative
+observed log values. The three K-bearing laws are exactly log-linear:
+log f(r) = log K + sum over exponent fields of value * (d log(N+1-r) -
+p log r), with (d, p) read from the law's ``exponents`` entry in
+:mod:`ranklaws.models`. So one ordinary least-squares fitter serves all
+three; only its design columns differ. It is closed-form, solved through
+an orthogonal decomposition of centered columns (never by iterative
 search). The zipf-mandelbrot law is different on two counts, documented
 here because both surprise users:
 
@@ -13,15 +16,17 @@ here because both surprise users:
   closed-form, and rho itself is found by golden-section search on that
   profiled objective over (-0.99, 10 N].
 
-Goodness of fit is the log-space coefficient of determination R^2. For a
-constant series the total sum of squares vanishes; by convention R^2 is 1
-when the model reproduces the data (SSE <= 1e-20) and 0 otherwise.
+A law's free-parameter count is its number of fields other than n; a fit
+needs one value more than that. Goodness of fit is the log-space
+coefficient of determination R^2. For a constant series the total sum of
+squares vanishes; by convention R^2 is 1 when the model reproduces the
+data (SSE <= 1e-20) and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +37,10 @@ from .ingest import RankedSeries
 _RHO_LOWER = -0.99
 # Interval tolerance for the rho search. Far tighter than rho ever needs
 # on its own, so the slope (and hence epsilon) inherits full precision.
+# Near the top of the bracket (10 N) float spacing exceeds it; the search
+# then stops at a few ulps of width instead.
 _RHO_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Free-parameter count per model tag, used by the comparison tie-break.
-PARAM_COUNTS = {"zipf": 2, "mandelbrot": 2, "lavalette": 2, "beta-like": 3}
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +85,11 @@ class ComparisonReport:
             if rep.model == tag:
                 return rep
         raise KeyError(tag)
+
+
+def _param_count(law: type) -> int:
+    """Free parameters of a law: every field but the series length n."""
+    return sum(field.name != "n" for field in fields(law))
 
 
 def _require_length(series: RankedSeries, minimum: int, what: str) -> None:
@@ -131,45 +140,38 @@ def _centered_ols(columns: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[np.nd
 
 def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
     """Log-space R^2 of a parameter set against an observed series."""
-    if not isinstance(fitted, models.ZipfParams) and fitted.n != observed.n:
+    if models.law_length(fitted, observed.n) != observed.n:
         raise ValidationError(f"fitted n={fitted.n} does not match series n={observed.n}")
     _, sse, sst = _log_sums(np.log(observed.values), np.log(models.model_values(fitted, observed.n)))
     return _r2(sse, sst)
 
 
+def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
+    """OLS of log value on one column d log(N+1-r) - p log r per exponent field."""
+    _require_length(series, _param_count(law) + 1, f"{law.model} fit")
+    ranks = np.arange(1.0, series.n + 1.0)
+    log_depletion, log_rank = np.log(series.n + 1.0 - ranks), np.log(ranks)
+    columns = tuple(d * log_depletion - p * log_rank for d, p in law.exponents.values())
+    coef, intercept = _centered_ols(columns, np.log(series.values))
+    values = {"k": math.exp(intercept), "n": series.n}
+    # + 0.0 turns the -0.0 an exact-zero slope can come out as into 0.0.
+    values.update((name, float(c) + 0.0) for name, c in zip(law.exponents, coef))
+    return _finalize(series, law(**{field.name: values[field.name] for field in fields(law)}))
+
+
 def fit_zipf(series: RankedSeries) -> FitReport:
-    """OLS of log value on log rank; alpha is the negated slope."""
-    _require_length(series, 3, "zipf fit")
-    log_rank = np.log(np.arange(1.0, series.n + 1.0))
-    coef, intercept = _centered_ols((log_rank,), np.log(series.values))
-    # + 0.0 turns the -0.0 produced by negating an exact-zero slope into 0.0.
-    params = models.ZipfParams(k=math.exp(intercept), alpha=-float(coef[0]) + 0.0)
-    return _finalize(series, params)
+    """OLS of log value on -log rank; the slope is alpha."""
+    return _fit_log_linear(series, models.ZipfParams)
 
 
 def fit_lavalette(series: RankedSeries) -> FitReport:
-    """OLS of log value on log((N+1-r)/r)."""
-    _require_length(series, 3, "lavalette fit")
-    n = series.n
-    ranks = np.arange(1.0, n + 1.0)
-    x = np.log(n + 1.0 - ranks) - np.log(ranks)
-    coef, intercept = _centered_ols((x,), np.log(series.values))
-    params = models.LavaletteParams(k=math.exp(intercept), b=float(coef[0]), n=n)
-    return _finalize(series, params)
+    """OLS of log value on log((N+1-r)/r); the slope is b."""
+    return _fit_log_linear(series, models.LavaletteParams)
 
 
 def fit_beta_like(series: RankedSeries) -> FitReport:
-    """Two-regressor OLS: log value on log(N+1-r) and log r."""
-    _require_length(series, 4, "beta-like fit")
-    n = series.n
-    ranks = np.arange(1.0, n + 1.0)
-    coef, intercept = _centered_ols(
-        (np.log(n + 1.0 - ranks), np.log(ranks)), np.log(series.values)
-    )
-    params = models.BetaLikeParams(
-        k=math.exp(intercept), a=-float(coef[1]) + 0.0, b=float(coef[0]), n=n
-    )
-    return _finalize(series, params)
+    """Two-column OLS of log value on log(N+1-r) and -log r; the slopes are b and a."""
+    return _fit_log_linear(series, models.BetaLikeParams)
 
 
 def fit_mandelbrot(series: RankedSeries) -> FitReport:
@@ -180,7 +182,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     (-0.99, 10 N]. Lands at a bracket edge only when the objective keeps
     improving toward it, which is flagged as a warning on the report.
     """
-    _require_length(series, 3, "mandelbrot fit")
+    _require_length(series, _param_count(models.MandelbrotParams) + 1, "mandelbrot fit")
     y = np.log(series.values)
     lo, hi = _RHO_LOWER, 10.0 * series.n
 
@@ -192,7 +194,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = objective(c), objective(d)
-    while b - a > _RHO_TOL:
+    while b - a > max(_RHO_TOL, 4.0 * math.ulp(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -214,36 +216,32 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     return _finalize(series, params, warnings)
 
 
-_FITTERS = {
-    "zipf": fit_zipf,
-    "mandelbrot": fit_mandelbrot,
-    "lavalette": fit_lavalette,
-    "beta-like": fit_beta_like,
-}
+def _fit(series: RankedSeries, law: type) -> FitReport:
+    if law is models.MandelbrotParams:
+        return fit_mandelbrot(series)
+    return _fit_log_linear(series, law)
 
 
 def fit_model(series: RankedSeries, tag: str) -> FitReport:
     """Fit one model selected by tag."""
     try:
-        fitter = _FITTERS[tag]
+        law = models.LAWS[tag]
     except KeyError:
         raise ValidationError(f"unknown model {tag!r}; expected one of {', '.join(models.MODEL_TAGS)}") from None
-    return fitter(series)
+    return _fit(series, law)
 
 
 def compare_models(series: RankedSeries) -> ComparisonReport:
     """Fit all four models and rank them by log-space R^2."""
-    _require_length(series, 4, "model comparison")
+    _require_length(series, max(map(_param_count, models.LAWS.values())) + 1, "model comparison")
     reports = []
-    for tag in models.MODEL_TAGS:
+    for tag, law in models.LAWS.items():
         try:
-            reports.append(_FITTERS[tag](series))
+            reports.append(_fit(series, law))
         except FitError as exc:
             raise type(exc)(f"{tag}: {exc}") from exc
-    best = min(
-        reports,
-        key=lambda rep: (-rep.r_squared, PARAM_COUNTS[rep.model], models.MODEL_TAGS.index(rep.model)),
-    )
+    # min keeps the first of equal keys, so exact ties fall to catalog order.
+    best = min(reports, key=lambda rep: (-rep.r_squared, _param_count(type(rep.params))))
     beta = reports[models.MODEL_TAGS.index("beta-like")]
     zipf = reports[models.MODEL_TAGS.index("zipf")]
     lavalette = reports[models.MODEL_TAGS.index("lavalette")]

@@ -67,11 +67,9 @@ def generate_synthetic(params: models.ModelParams, noise: NoiseSpec, n: int | No
     curve(params) exactly. Noise can break monotonicity, so the perturbed
     values are re-sorted descending and re-ranked.
     """
-    if isinstance(params, models.ZipfParams):
-        if n is None:
-            raise ValidationError("zipf generation needs an explicit length n")
-    elif n is None:
-        n = params.n
+    n = models.law_length(params) if n is None else n
+    if n is None:
+        raise ValidationError("zipf generation needs an explicit length n")
     base = models.model_values(params, n)
     rng = np.random.default_rng(noise.seed)
     return rank_raw(base * np.exp(rng.normal(0.0, noise.sigma, size=n)))

@@ -7,16 +7,22 @@ Each law maps an integer rank r = 1..N to a positive value:
 * lavalette:   f(r) = K ((N + 1 - r) / r)^b
 * beta-like:   f(r) = K (N + 1 - r)^b / r^a
 
-The beta-like law nests the others, and both reductions are floating-point
-exact because all three share one expression shape K (N+1-r)^b / r^a:
-b = 0 gives zipf and a = b gives lavalette, bit for bit. Parameters are
+Every per-law fact lives in one table: the parameter dataclasses below,
+listed in catalog order in ``LAWS``. A class's fields (in order) are its
+parameters; ``model`` is its tag; for the K-bearing laws ``exponents``
+maps each exponent field to its powers (on N+1-r, on 1/r). Validation,
+evaluation, fitting and the CLI text are all derived from these.
+
+The three K-bearing laws are then one expression K (N+1-r)^b / r^a with
+b and a summed from ``exponents``, so the beta-like law nests the others
+bit for bit: b = 0 gives zipf and a = b gives lavalette. Parameters are
 plain frozen dataclasses; all evaluation is pure, so everything here is
 safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import math
@@ -26,28 +32,43 @@ import numpy as np
 from .errors import ValidationError
 from .ingest import RankedSeries
 
+# Field name -> (check, rule text); any other field must just be finite.
+_FIELD_RULES = {
+    "k": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "rho": (lambda v: math.isfinite(v) and v > -1, "finite and > -1"),
+    "n": (lambda v: v >= 1, ">= 1"),
+}
+_FINITE = (math.isfinite, "finite")
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValidationError(message)
+
+class _Law:
+    """Validation shared by every parameter dataclass, driven by its fields."""
+
+    model: ClassVar[str]
+    #: Exponent field -> (power on N+1-r, power on 1/r); empty for mandelbrot.
+    exponents: ClassVar[dict[str, tuple[int, int]]] = {}
+
+    def __post_init__(self):
+        for field in fields(self):
+            check, rule = _FIELD_RULES.get(field.name, _FINITE)
+            value = getattr(self, field.name)
+            if not check(value):
+                raise ValidationError(f"{field.name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
-class ZipfParams:
+class ZipfParams(_Law):
     """Power law K / r^alpha; defined for every rank r >= 1."""
 
     k: float
     alpha: float
 
     model: ClassVar[str] = "zipf"
-
-    def __post_init__(self):
-        _require(math.isfinite(self.k) and self.k > 0, f"k must be finite and > 0, got {self.k}")
-        _require(math.isfinite(self.alpha), f"alpha must be finite, got {self.alpha}")
+    exponents: ClassVar[dict[str, tuple[int, int]]] = {"alpha": (0, 1)}
 
 
 @dataclass(frozen=True)
-class MandelbrotParams:
+class MandelbrotParams(_Law):
     """Offset power law ((N + rho) / (r + rho))^(1 + epsilon).
 
     Carries no scale factor, so f(N) = 1 always; rho > -1 keeps r + rho
@@ -60,14 +81,9 @@ class MandelbrotParams:
 
     model: ClassVar[str] = "mandelbrot"
 
-    def __post_init__(self):
-        _require(math.isfinite(self.rho) and self.rho > -1, f"rho must be finite and > -1, got {self.rho}")
-        _require(math.isfinite(self.epsilon), f"epsilon must be finite, got {self.epsilon}")
-        _require(self.n >= 1, f"n must be >= 1, got {self.n}")
-
 
 @dataclass(frozen=True)
-class LavaletteParams:
+class LavaletteParams(_Law):
     """One-exponent law K ((N + 1 - r) / r)^b with a depleting numerator."""
 
     k: float
@@ -75,15 +91,11 @@ class LavaletteParams:
     n: int
 
     model: ClassVar[str] = "lavalette"
-
-    def __post_init__(self):
-        _require(math.isfinite(self.k) and self.k > 0, f"k must be finite and > 0, got {self.k}")
-        _require(math.isfinite(self.b), f"b must be finite, got {self.b}")
-        _require(self.n >= 1, f"n must be >= 1, got {self.n}")
+    exponents: ClassVar[dict[str, tuple[int, int]]] = {"b": (1, 1)}
 
 
 @dataclass(frozen=True)
-class BetaLikeParams:
+class BetaLikeParams(_Law):
     """Two-exponent law K (N + 1 - r)^b / r^a.
 
     ``a`` acts on the denominator (a > 0 gives a decreasing head), ``b`` on
@@ -96,18 +108,30 @@ class BetaLikeParams:
     n: int
 
     model: ClassVar[str] = "beta-like"
-
-    def __post_init__(self):
-        _require(math.isfinite(self.k) and self.k > 0, f"k must be finite and > 0, got {self.k}")
-        _require(math.isfinite(self.a), f"a must be finite, got {self.a}")
-        _require(math.isfinite(self.b), f"b must be finite, got {self.b}")
-        _require(self.n >= 1, f"n must be >= 1, got {self.n}")
+    exponents: ClassVar[dict[str, tuple[int, int]]] = {"b": (1, 0), "a": (0, 1)}
 
 
 ModelParams = Union[ZipfParams, MandelbrotParams, LavaletteParams, BetaLikeParams]
 
+#: Parameter class per model tag, in catalog order.
+LAWS = {law.model: law for law in (ZipfParams, MandelbrotParams, LavaletteParams, BetaLikeParams)}
+
 #: Model tags in catalog order (also the tie-break order used by comparisons).
-MODEL_TAGS = ("zipf", "mandelbrot", "lavalette", "beta-like")
+MODEL_TAGS = tuple(LAWS)
+
+
+def law_length(params: ModelParams, default: int | None = None) -> int | None:
+    """The series length ``params`` carry; zipf carries none and gets ``default``."""
+    return default if isinstance(params, ZipfParams) else params.n
+
+
+def _law_values(params: ModelParams, r, n):
+    """Value of the law at rank(s) ``r`` of a length-``n`` series."""
+    if isinstance(params, MandelbrotParams):
+        return ((params.n + params.rho) / (r + params.rho)) ** (1.0 + params.epsilon)
+    b = sum(d * getattr(params, name) for name, (d, _) in params.exponents.items())
+    a = sum(p * getattr(params, name) for name, (_, p) in params.exponents.items())
+    return params.k * (n + 1 - r) ** b / r ** a
 
 
 def evaluate(params: ModelParams, r: int) -> float:
@@ -120,19 +144,14 @@ def evaluate(params: ModelParams, r: int) -> float:
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
         raise ValidationError(f"rank must be an integer, got {r!r}")
     r = int(r)
-    if isinstance(params, ZipfParams):
+    n = law_length(params)
+    if n is None:
         if r < 1:
             raise ValidationError(f"rank {r} outside valid range r >= 1")
-        return params.k / r ** params.alpha
-    if not 1 <= r <= params.n:
-        raise ValidationError(f"rank {r} outside valid range 1..{params.n}")
-    if isinstance(params, MandelbrotParams):
-        return ((params.n + params.rho) / (r + params.rho)) ** (1.0 + params.epsilon)
-    if isinstance(params, LavaletteParams):
-        return params.k * (params.n + 1 - r) ** params.b / r ** params.b
-    if isinstance(params, BetaLikeParams):
-        return params.k * (params.n + 1 - r) ** params.b / r ** params.a
-    raise TypeError(f"unknown model params: {params!r}")
+        n = r  # zipf puts power 0 on N+1-r, so any N >= r will do
+    elif not 1 <= r <= n:
+        raise ValidationError(f"rank {r} outside valid range 1..{n}")
+    return _law_values(params, r, n)
 
 
 def model_values(params: ModelParams, n: int) -> np.ndarray:
@@ -144,18 +163,9 @@ def model_values(params: ModelParams, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"series length must be >= 1, got {n}")
-    r = np.arange(1, n + 1, dtype=np.float64)
-    if isinstance(params, ZipfParams):
-        return params.k / r ** params.alpha
-    if n != params.n:
+    if law_length(params, n) != n:
         raise ValidationError(f"requested length {n} does not match params n={params.n}")
-    if isinstance(params, MandelbrotParams):
-        return ((params.n + params.rho) / (r + params.rho)) ** (1.0 + params.epsilon)
-    if isinstance(params, LavaletteParams):
-        return params.k * (params.n + 1 - r) ** params.b / r ** params.b
-    if isinstance(params, BetaLikeParams):
-        return params.k * (params.n + 1 - r) ** params.b / r ** params.a
-    raise TypeError(f"unknown model params: {params!r}")
+    return _law_values(params, np.arange(1, n + 1, dtype=np.float64), n)
 
 
 def curve(params: ModelParams, n: int | None = None) -> RankedSeries:
@@ -166,11 +176,9 @@ def curve(params: ModelParams, n: int | None = None) -> RankedSeries:
     whose tabulated values increase anywhere (e.g. a negative zipf alpha)
     cannot form a RankedSeries and raise ValidationError.
     """
-    if isinstance(params, ZipfParams):
-        if n is None:
-            raise ValidationError("zipf curve needs an explicit length n")
-    elif n is None:
-        n = params.n
+    n = law_length(params) if n is None else n
+    if n is None:
+        raise ValidationError("zipf curve needs an explicit length n")
     values = model_values(params, n)
     try:
         return RankedSeries(values)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ranklaws as rl
-from ranklaws.cli import main
+from ranklaws.cli import _format_params, main
 
 
 @pytest.fixture
@@ -141,6 +141,9 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "alpha=0.0000" in err
         assert "R^2=1.0000" in err
+        for model, params in (("lavalette", "K=2.5000 b=0.0000"), ("beta-like", "K=2.5000 a=0.0000 b=0.0000")):
+            assert main(["fit", str(path), "--model", model]) == 0
+            assert capsys.readouterr().err == f"{model}: {params} R^2=1.0000\n"
 
     def test_dropped_rows_become_warnings(self, capsys, tmp_path):
         path = tmp_path / "holes.csv"
@@ -171,6 +174,20 @@ class TestFitCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["series"]["n"] == 3
         assert doc["series"]["max"] == 9.0
+
+
+class TestParamSummary:
+    @pytest.mark.parametrize(
+        "params,text",
+        [
+            (rl.ZipfParams(k=2.0, alpha=1.25), "K=2.0000 alpha=1.2500"),
+            (rl.MandelbrotParams(rho=3.5, epsilon=-0.125, n=9), "rho=3.5000 epsilon=-0.1250"),
+            (rl.LavaletteParams(k=0.5, b=0.75, n=9), "K=0.5000 b=0.7500"),
+            (rl.BetaLikeParams(k=0.0273, a=0.4058, b=0.991, n=9), "K=0.0273 a=0.4058 b=0.9910"),
+        ],
+    )
+    def test_format_params(self, params, text):
+        assert _format_params(params) == text
 
 
 class TestCompareCommand:
@@ -234,13 +251,18 @@ class TestGenerateCommand:
 
     def test_missing_parameter_flags(self, capsys):
         assert main(["generate", "--model", "beta-like", "--n", "10", "--k", "1"]) == 64
-        err = capsys.readouterr().err
-        assert "--a" in err and "--b" in err
+        assert capsys.readouterr().err == "ranklaws: error: model beta-like requires --n --k --a --b\n"
+        assert main(["generate", "--model", "zipf", "--n", "10"]) == 64
+        assert capsys.readouterr().err == "ranklaws: error: model zipf requires --n --k --alpha\n"
 
     def test_inapplicable_flag_rejected(self, capsys):
         assert main(["generate", "--model", "zipf", "--n", "10", "--k", "1",
                      "--alpha", "1", "--rho", "2"]) == 64
         assert "--rho" in capsys.readouterr().err
+        # With several extra flags the first in option order is named.
+        assert main(["generate", "--model", "zipf", "--n", "10", "--k", "1",
+                     "--alpha", "1", "--rho", "1", "--a", "1"]) == 64
+        assert capsys.readouterr().err == "ranklaws: error: --a does not apply to model zipf\n"
 
     def test_zero_length_rejected(self, capsys):
         assert main(["generate", "--model", "zipf", "--n", "0", "--k", "1",

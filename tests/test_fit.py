@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -54,22 +55,27 @@ class TestExactRecovery:
 class TestConstantSeries:
     CONSTANT = rl.RankedSeries(np.full(4, 7.5))
 
+    # Exponents of a constant series are exact zeros; a -0.0 would print as
+    # "-0.0000" and serialize as -0.0.
     def test_beta_like_fits_constant_exactly(self):
         rep = rl.fit_beta_like(self.CONSTANT)
         assert rep.params.a == pytest.approx(0.0, abs=1e-12)
         assert rep.params.b == pytest.approx(0.0, abs=1e-12)
+        assert math.copysign(1.0, rep.params.a) == math.copysign(1.0, rep.params.b) == 1.0
         assert rep.params.k == pytest.approx(7.5, rel=1e-12)
         assert rep.r_squared == 1.0
 
     def test_zipf_fits_constant(self):
         rep = rl.fit_zipf(self.CONSTANT)
         assert rep.params.alpha == pytest.approx(0.0, abs=1e-12)
+        assert math.copysign(1.0, rep.params.alpha) == 1.0
         assert rep.params.k == pytest.approx(7.5, rel=1e-12)
         assert rep.r_squared == 1.0
 
     def test_lavalette_fits_constant(self):
         rep = rl.fit_lavalette(self.CONSTANT)
         assert rep.params.b == pytest.approx(0.0, abs=1e-12)
+        assert math.copysign(1.0, rep.params.b) == 1.0
         assert rep.r_squared == 1.0
 
 
@@ -230,6 +236,25 @@ class TestOlsProperties:
             y = np.log(series.values)
             for rho in (0.0, 10.0 * series.n):
                 assert rep.log_sse <= accel.mandelbrot_profile(y, rho)[1] + 1e-9
+
+    def test_mandelbrot_search_ends_on_large_series(self, monkeypatch):
+        # Near rho = 10 N float spacing exceeds the absolute tolerance; the
+        # search must still end. Raising past the cap turns a hang into a failure.
+        series = rl.generate_synthetic(
+            rl.BetaLikeParams(k=0.0273, a=0.4058, b=0.991, n=200_000), rl.NoiseSpec(sigma=0.1, seed=1)
+        )
+        profile, calls = accel.mandelbrot_profile, []
+
+        def counted(y, rho):
+            calls.append(rho)
+            assert len(calls) < 100, "rho search did not end within 100 profile calls"
+            return profile(y, rho)
+
+        monkeypatch.setattr(accel, "mandelbrot_profile", counted)
+        start = time.perf_counter()
+        rep = rl.fit_mandelbrot(series)
+        assert time.perf_counter() - start < 20.0
+        assert math.isfinite(rep.params.rho)
 
     def test_mandelbrot_bracket_edge_warning(self):
         # A strongly tail-bent series pushes rho to the top of the bracket.

@@ -155,6 +155,21 @@ class TestParamValidation:
         with pytest.raises(rl.ValidationError):
             build()
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: rl.ZipfParams(k=0.0, alpha=1), "k must be finite and > 0, got 0.0"),
+            (lambda: rl.MandelbrotParams(rho=-1.0, epsilon=0, n=5), "rho must be finite and > -1, got -1.0"),
+            (lambda: rl.LavaletteParams(k=1, b=1, n=0), "n must be >= 1, got 0"),
+            (lambda: rl.ZipfParams(k=1, alpha=math.inf), "alpha must be finite, got inf"),
+            (lambda: rl.BetaLikeParams(k=1, a=math.nan, b=1, n=5), "a must be finite, got nan"),
+        ],
+    )
+    def test_field_rule_messages(self, build, message):
+        with pytest.raises(rl.ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_params_are_immutable(self):
         params = rl.ZipfParams(k=1, alpha=1)
         with pytest.raises(Exception):
