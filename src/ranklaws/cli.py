@@ -128,7 +128,7 @@ def _fit_payload(rep: FitReport) -> dict:
         "params": dataclasses.asdict(rep.params),
         "r_squared": rep.r_squared,
         "log_sse": rep.log_sse,
-        "residuals": [float(x) for x in rep.residuals],
+        "residuals": rep.residuals.tolist(),
         "n": rep.n,
         "warnings": list(rep.warnings),
     }

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -124,7 +125,7 @@ def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None 
         labels = tuple(labels)
         if len(labels) != arr.size:
             raise ValidationError(f"got {len(labels)} labels for {arr.size} values")
-        sorted_labels = tuple(labels[i] for i in order)
+        sorted_labels = tuple(map(labels.__getitem__, order.tolist()))
     return RankedSeries(arr[order], sorted_labels)
 
 
@@ -165,17 +166,76 @@ def parse_csv(text: str, options: IngestOptions | None = None) -> tuple[RankedSe
     parse. Under the "drop" policy, rows with non-positive values are
     dropped and reported in the warnings; in pre-ranked mode the surviving
     rows are re-numbered densely after the original ranks have been
-    validated as a permutation of 1..n.
+    validated as a permutation of 1..n. One leading byte-order mark
+    (U+FEFF) is ignored.
+
+    Clean raw-mode tables are parsed column by column; pre-ranked input
+    and any input that needs quoting, a line-numbered error or a warning
+    go through the row loop.
     """
     if options is None:
         options = IngestOptions()
+    text = text.removeprefix("\ufeff")
+    parsed = _parse_columns(text, options)
+    return parsed if parsed is not None else _parse_rows(text, options)
 
+
+def _parse_columns(text: str, options: IngestOptions) -> tuple[RankedSeries, list[str]] | None:
+    """Parse a raw-mode table the row loop would accept without error or warning.
+
+    Returns None unless the input shows that splitting on newlines and the
+    delimiter gives the rows ``csv.reader`` would: no quote character, no
+    carriage return outside a CRLF pair, no NUL (``csv.reader`` rejects it
+    before Python 3.11), no line over the csv field size limit, the same
+    width on every non-blank line, and (past an optional header) every
+    value finite and positive. Blank lines are skipped, as the row loop
+    skips them. ``float`` strips less than ``str.strip`` (not
+    U+001C..U+001F), so such a cell falls back rather than parsing
+    differently. Pre-ranked input always goes through the row loop.
+    """
+    if options.mode != "raw":
+        return None
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = list(filter(str.strip, text.split("\n")))
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    delimiter = options.delimiter
+    width = lines[0].count(delimiter) + 1
+    if width > 2 or set(map(str.count, lines, repeat(delimiter))) != {width - 1}:
+        return None
+    if not _looks_numeric(lines[0].rsplit(delimiter, 1)[-1].strip()):
+        del lines[0]  # header row
+    n = len(lines)
+    if n == 0:
+        return None
+    cells = delimiter.join(lines).split(delimiter)
+    try:
+        values = np.fromiter(map(float, cells[width - 1 :: width]), np.float64, n)
+    except ValueError:
+        return None
+    if not (np.isfinite(values).all() and (values > 0).all()):
+        return None
+    labels = tuple(map(str.strip, cells[::2])) if width == 2 else None
+    return rank_raw(values, labels), []
+
+
+def _parse_rows(text: str, options: IngestOptions) -> tuple[RankedSeries, list[str]]:
+    """Parse row by row with ``csv.reader``: the reference for ``parse_csv``.
+
+    The only path that reads quoted fields, names the line of an error and
+    produces drop warnings.
+    """
     reader = csv.reader(io.StringIO(text), delimiter=options.delimiter)
     rows: list[tuple[int, list[str]]] = []
-    for cells in reader:
-        if not cells or all(c.strip() == "" for c in cells):
-            continue
-        rows.append((reader.line_num, [c.strip() for c in cells]))
+    try:
+        for cells in reader:
+            if not cells or all(c.strip() == "" for c in cells):
+                continue
+            rows.append((reader.line_num, [c.strip() for c in cells]))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows:
         raise ValidationError("input contains no data rows")
 

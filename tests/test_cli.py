@@ -91,6 +91,15 @@ class TestExitCodes:
         assert main(["fit", str(path), "--model", "zipf"]) == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_bare_carriage_return_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"a\rb,1.0\nc,2.0\n")
+        code = main(["fit", str(path), "--model", "zipf"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("ranklaws: error: line 1: ")
+
     def test_quiet_silences_diagnostics(self, capsys, tmp_path):
         code = main(["fit", str(tmp_path / "nope.csv"), "--model", "zipf", "--quiet"])
         captured = capsys.readouterr()

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ranklaws as rl
+from ranklaws import ingest
 
 positive_floats = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
 
@@ -161,6 +162,23 @@ class TestParseCsvRaw:
         series, _ = rl.parse_csv("5.0\r\n3.0\r\n")
         assert series.values.tolist() == [5.0, 3.0]
 
+    def test_bare_carriage_return_is_parse_error_with_line(self):
+        with pytest.raises(rl.ParseError, match="^line 1: "):
+            rl.parse_csv("a\rb,1.0\nc,2.0\n")
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("\ufeff5\n3\n2\n1\n", 4),
+            ('\ufeff"5"\n3\n2\n1\n', 4),  # quoted: row loop
+            ("\ufeffvalue\n5\n3\n2\n", 3),
+        ],
+    )
+    def test_leading_byte_order_mark_ignored(self, text, n):
+        series, _ = rl.parse_csv(text)
+        assert series.n == n
+        assert series.values[0] == 5.0
+
     def test_tab_delimiter(self):
         options = rl.IngestOptions(delimiter="\t")
         series, _ = rl.parse_csv("x\t2.0\ny\t8.0", options)
@@ -225,6 +243,97 @@ class TestParseCsvPreRanked:
         options = rl.IngestOptions(mode="pre-ranked", zero_policy="drop")
         with pytest.raises(rl.ValidationError, match="permutation"):
             rl.parse_csv("1,4.0\n5,0.0\n3,2.0", options)
+
+
+# Value cells the row loop rejects, warns about, or reads otherwise than a plain split and float() would.
+ODD_VALUES = st.sampled_from(
+    ["0", "-0", "1e-400", "-1.5", "inf", "-inf", "nan", "1e400", "", " ", "x", "1.5.2", "\x1c2", '"3"']
+)
+CLEAN_VALUES = st.one_of(positive_floats.map(repr), st.sampled_from(["7", " 2.5 ", "1e3", "+4"]))
+LABELS = st.text(alphabet="abXY _-.09\u00a0\x00", max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """A clean table, then up to three edits that may send it to the row loop."""
+    mode = draw(st.sampled_from(["raw", "pre-ranked"]))
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    options = rl.IngestOptions(mode=mode, zero_policy=draw(st.sampled_from(["reject", "drop"])), delimiter=delimiter)
+    width = draw(st.sampled_from((1, 2) if mode == "raw" else (2, 3)))
+    n = draw(st.integers(1, 8))
+    values = sorted(draw(st.lists(CLEAN_VALUES, min_size=n, max_size=n)), key=float, reverse=True)
+    rows = []
+    for rank in draw(st.permutations(range(1, n + 1))):
+        row = [draw(LABELS) for _ in range(width - 1)] + [values[rank - 1]]
+        if mode == "pre-ranked":
+            row[0] = str(rank)
+        rows.append(row)
+    if draw(st.booleans()):
+        rows.insert(0, [draw(st.sampled_from(["rank", "label", "value", "", "1"])) for _ in range(width)])
+    edits = draw(st.lists(st.sampled_from(["value", "cell", "ragged", "blank", "quote", "cr"]), max_size=3))
+    for edit in [e for e in edits if e not in ("quote", "cr")]:
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit == "value":
+            rows[i][-1] = draw(ODD_VALUES)
+        elif edit == "cell":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.text(alphabet="0123456789+-.eEinfa x", max_size=5))
+        elif edit == "ragged":
+            rows[i] = rows[i][:-1] if len(rows[i]) > 1 else rows[i] + ["1"]
+        else:
+            rows.insert(i, draw(st.sampled_from([[""], [" "], ["", ""]])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(delimiter.join(row) for row in rows) + draw(st.sampled_from([eol, ""]))
+    for edit in [e for e in edits if e in ("quote", "cr")]:
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + ('"' if edit == "quote" else "\r") + text[pos:]
+    return text, options
+
+
+def _outcome(parse, text, options):
+    try:
+        return parse(text, options)
+    except rl.RankLawsError as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnPath:
+    """parse_csv reads clean tables column by column; the row loop is the reference."""
+
+    @given(tables())
+    @example(("4.0\ninf\n2.0\n", rl.IngestOptions()))
+    @example(("a,4.0\nb,0\nc,2.0\n", rl.IngestOptions(zero_policy="drop")))
+    @example(("1,4.0\n3,-1\n2,2.0\n", rl.IngestOptions(mode="pre-ranked", zero_policy="drop")))
+    @example(("1,4.0\n1,2.0\n", rl.IngestOptions(mode="pre-ranked")))
+    @example(("value\n\n4.0\n2.0\n", rl.IngestOptions()))
+    @example(("\t\n \n4.0\n\t \n2.0\n\n", rl.IngestOptions(delimiter="\t")))
+    @example(("a\x00b,4.0\nc,2.0\n", rl.IngestOptions()))
+    @example(("5,4.0\n2.0\n3,7,1.0\n", rl.IngestOptions()))  # ragged rows with the right cell count
+    @example(('"a,b",4.0\nc,2.0\n', rl.IngestOptions()))
+    @example(("x" * 200_000 + ",4.0\n", rl.IngestOptions()))
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_row_loop(self, table):
+        text, options = table
+        assert _outcome(rl.parse_csv, text, options) == _outcome(ingest._parse_rows, text, options)
+
+    @pytest.mark.parametrize(
+        "text, options, values, labels",
+        [
+            ("5.0\n1.0\n3.0\n", rl.IngestOptions(), [5.0, 3.0, 1.0], None),
+            ("journal,impact\nA,4.0\nB,6.0\n", rl.IngestOptions(), [6.0, 4.0], ("B", "A")),
+            ("5.0\r\n3.0\r\n", rl.IngestOptions(), [5.0, 3.0], None),
+            ("x\t2.0\ny\t8.0", rl.IngestOptions(delimiter="\t"), [8.0, 2.0], ("y", "x")),
+            ("label,value\n\nA,4.0\n \nB,6.0\n\n", rl.IngestOptions(), [6.0, 4.0], ("B", "A")),
+        ],
+    )
+    def test_clean_tables_skip_the_row_loop(self, monkeypatch, text, options, values, labels):
+        def row_loop(text, options):
+            raise AssertionError("a clean table went through the row loop")
+
+        monkeypatch.setattr(ingest, "_parse_rows", row_loop)
+        series, warnings = rl.parse_csv(text, options)
+        assert series.values.tolist() == values
+        assert series.labels == labels
+        assert warnings == []
 
 
 class TestIngestOptions:
