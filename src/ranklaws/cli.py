@@ -3,8 +3,10 @@
 Subcommands: fit, compare, generate, simulate, plotdata. Machine output
 (JSON report, CSV series, TSV plot data) goes to --output when given,
 otherwise to stdout; the human summary then goes to stdout or stderr
-respectively, and --quiet drops it. JSON reports serialize with sorted
-keys and LF line endings so identical inputs give byte-identical files.
+respectively, and --quiet drops it. plotdata puts one "ranklaws: warning:"
+line per input or fit warning before its summary, since the TSV has no
+place for them. JSON reports serialize with sorted keys, two-space indent
+and LF line endings so identical inputs give byte-identical files.
 
 Exit codes: 0 success, 1 unreadable or invalid input data, 2 fit
 failure, 64 bad flags or flag-supplied parameters. Nothing is written to
@@ -142,7 +144,31 @@ def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, 
         key: payload,
         "warnings": warnings,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(doc) + "\n"
+
+
+_SCALARS = (str, int, float, type(None))
+
+
+def _json(obj, indent: str = "") -> str:
+    """Return ``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed ``obj``.
+
+    ``json.dumps`` with an indent encodes every value in pure Python; its C
+    encoder runs only without one. This walks the containers itself and
+    hands each non-empty list of scalars, such as the residuals, to the C
+    encoder in one call with the indented item separator.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        body = (",\n" + inner).join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(issubclass(t, _SCALARS) for t in set(map(type, obj))):
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_json(item, inner) for item in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
 
 
 def _format_params(params: models.ModelParams) -> str:
@@ -154,12 +180,11 @@ def _format_params(params: models.ModelParams) -> str:
 
 
 def _format_value(v: float) -> str:
-    v = float(v)
     return str(int(v)) if v.is_integer() else repr(v)
 
 
 def _series_csv(series: RankedSeries) -> str:
-    return "".join(_format_value(v) + "\n" for v in series.values)
+    return "".join([_format_value(v) + "\n" for v in series.values.tolist()])
 
 
 def _cmd_fit(args) -> int:
@@ -226,15 +251,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    series, _, _ = _read_series(args)
+    series, warnings, _ = _read_series(args)
     rep = fit_model(series, args.model)
-    fitted = models.model_values(rep.params, series.n)
+    columns = zip(series.values.tolist(), models.model_values(rep.params, series.n).tolist(), rep.residuals.tolist())
     lines = ["rank\tobserved\tfitted\tlog_residual"]
-    for i in range(series.n):
-        lines.append(
-            f"{i + 1}\t{_format_value(series.values[i])}\t{_format_value(fitted[i])}\t{_format_value(rep.residuals[i])}"
-        )
-    summary = f"{rep.model}: {_format_params(rep.params)} R^2={rep.r_squared:.4f}"
+    for rank, (observed, fitted, residual) in enumerate(columns, start=1):
+        lines.append(f"{rank}\t{_format_value(observed)}\t{_format_value(fitted)}\t{_format_value(residual)}")
+    notes = "".join(f"ranklaws: warning: {w}\n" for w in [*warnings, *rep.warnings])
+    summary = f"{notes}{rep.model}: {_format_params(rep.params)} R^2={rep.r_squared:.4f}"
     return _emit(args, "\n".join(lines) + "\n", summary)
 
 

@@ -10,9 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ranklaws as rl
+from ranklaws import cli
 from ranklaws.cli import _format_params, main
+from ranklaws.fit import FitReport
+
+FIXTURE = str(Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv")
 
 
 @pytest.fixture
@@ -351,3 +357,139 @@ class TestPlotdataCommand:
         path.write_text("3\n2\n1\n")
         assert main(["plotdata", str(path), "--model", "beta-like"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_warnings_precede_summary(self, capsys, tmp_path):
+        holes = tmp_path / "holes.csv"
+        holes.write_text("5\n0\n3\n2\n1\n")
+        clean = tmp_path / "clean.csv"
+        clean.write_text("5\n3\n2\n1\n")
+        dropped = "ranklaws: warning: line 2: dropped non-positive value 0.0"
+        assert main(["plotdata", str(clean), "--model", "zipf"]) == 0
+        tsv, summary = capsys.readouterr()
+        assert main(["plotdata", str(holes), "--model", "zipf"]) == 0
+        assert capsys.readouterr() == (tsv, f"{dropped}\n{summary}")
+        assert main(["plotdata", str(holes), "--model", "zipf", "--quiet"]) == 0
+        assert capsys.readouterr() == (tsv, "")
+        out = tmp_path / "plot.tsv"
+        assert main(["plotdata", str(holes), "--model", "zipf", "--output", str(out)]) == 0
+        assert capsys.readouterr() == (f"{dropped}\n{summary}", "")
+        assert out.read_text() == tsv
+        # A fit warning (the rho search stopping at its bracket edge) follows the parse warnings.
+        assert main(["plotdata", str(holes), "--model", "mandelbrot"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == dropped
+        assert err[1].startswith("ranklaws: warning: rho search converged at the bracket edge")
+        assert err[2].startswith("mandelbrot: rho=")
+        assert len(err) == 3
+
+
+def _reference_value(v: float) -> str:
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
+class TestCsvWriters:
+    VALUES = [1e300, 2.0**60, 12345.0, 3.5, 1.0, 0.1, 1e-310, 5e-324]
+
+    def test_series_csv_matches_per_element_format(self):
+        series = rl.RankedSeries(np.array(self.VALUES))
+        assert cli._series_csv(series) == "".join(_reference_value(v) + "\n" for v in self.VALUES)
+
+    def test_plotdata_matches_per_element_format(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(f"{v!r}\n" for v in self.VALUES))
+        assert main(["plotdata", str(path), "--model", "lavalette", "--quiet"]) == 0
+        series = rl.RankedSeries(np.array(self.VALUES))
+        rep = rl.fit_model(series, "lavalette")
+        fitted = rl.models.model_values(rep.params, series.n)
+        expected = ["rank\tobserved\tfitted\tlog_residual"] + [
+            f"{i + 1}\t{_reference_value(float(series.values[i]))}\t{_reference_value(float(fitted[i]))}"
+            f"\t{_reference_value(float(rep.residuals[i]))}"
+            for i in range(series.n)
+        ]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+_json_text = st.one_of(st.text(max_size=8), st.text('"\\\x00\x01\x1f\x7f\n\t\u00e9\u2028', max_size=8))
+_json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]),
+    st.floats().map(np.float64),
+)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _json_text, _json_floats),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(_json_text, children, max_size=6),
+    ),
+    max_leaves=25,
+)
+
+
+class TestReportEncoding:
+    @given(st.one_of(st.dictionaries(_json_text, _json_values), _json_values))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_indented_json_dumps(self, obj):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("argv", [["fit", FIXTURE, "--model", "beta-like"], ["compare", FIXTURE]])
+    def test_real_documents_match_indented_json_dumps(self, capsys, monkeypatch, argv):
+        docs = []
+        encode = cli._json
+
+        def spy(obj, indent=""):
+            if not indent:
+                docs.append(obj)
+            return encode(obj, indent)
+
+        monkeypatch.setattr(cli, "_json", spy)
+        assert main([*argv, "--quiet"]) == 0
+        assert len(docs) == 1
+        assert capsys.readouterr().out == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+
+    def test_document_layout(self):
+        rep = FitReport(model="zipf", params=rl.ZipfParams(k=2.0, alpha=1.5), r_squared=0.75, log_sse=0.05,
+                        residuals=[0.1, -0.2], n=2, warnings=("fit note",))
+        series = rl.RankedSeries([3.0, 1.5])
+        doc = cli._document("0123456789abcdef", series, ["line 2: dropped non-positive value 0.0"], "fit",
+                            cli._fit_payload(rep))
+        assert doc == f"""{{
+  "fit": {{
+    "log_sse": 0.05,
+    "model": "zipf",
+    "n": 2,
+    "params": {{
+      "alpha": 1.5,
+      "k": 2.0
+    }},
+    "r_squared": 0.75,
+    "residuals": [
+      0.1,
+      -0.2
+    ],
+    "warnings": [
+      "fit note"
+    ]
+  }},
+  "input_digest": "0123456789abcdef",
+  "series": {{
+    "max": 3.0,
+    "min": 1.5,
+    "n": 2
+  }},
+  "tool_version": "{rl.__version__}",
+  "warnings": [
+    "line 2: dropped non-positive value 0.0"
+  ]
+}}
+"""
+
+    def test_reports_never_use_pure_python_encoder(self, capsys, monkeypatch):
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("json fell back to its pure-Python encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        assert main(["fit", FIXTURE, "--model", "beta-like", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["fit"]["n"] == 200
+        assert main(["compare", FIXTURE, "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["comparison"]["nesting_ok"] is True
