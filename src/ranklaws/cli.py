@@ -19,7 +19,17 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+
+# OpenBLAS reads this once, when numpy loads, and otherwise starts one
+# busy-waiting worker thread per extra core. A CLI process makes no BLAS
+# call that a second thread speeds up, so the worker only burns CPU, and
+# summation order (hence the last bits of large reports) would follow the
+# host's core count. A thread count the user chose is left alone.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__, models
 from .errors import FitError, ValidationError

@@ -115,11 +115,19 @@ def _r2(sse: float, sst: float) -> float:
 
 
 def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
-    residuals, sse, sst = _log_sums(np.log(series.values), np.log(models.model_values(params, series.n)))
+    # Fitted exponents on a series spanning hundreds of decades can make
+    # the tabulated law overflow or underflow; that is reported below as
+    # a FitError instead of numpy warnings and non-finite numbers. A
+    # residual that is not finite makes the SSE not finite.
+    with np.errstate(all="ignore"):
+        residuals, sse, sst = _log_sums(np.log(series.values), np.log(models.model_values(params, series.n)))
+        r_squared = _r2(sse, sst)
+    if not (math.isfinite(sse) and math.isfinite(r_squared)):
+        raise FitError(f"{type(params).model} fit is not finite in double precision (log_sse={sse!r})")
     return FitReport(
         model=type(params).model,
         params=params,
-        r_squared=_r2(sse, sst),
+        r_squared=r_squared,
         log_sse=sse,
         residuals=residuals,
         n=series.n,
@@ -153,7 +161,10 @@ def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     log_depletion, log_rank = np.log(series.n + 1.0 - ranks), np.log(ranks)
     columns = tuple(d * log_depletion - p * log_rank for d, p in law.exponents.values())
     coef, intercept = _centered_ols(columns, np.log(series.values))
-    values = {"k": math.exp(intercept), "n": series.n}
+    try:
+        values = {"k": math.exp(intercept), "n": series.n}
+    except OverflowError:
+        raise FitError(f"{law.model} fit is not finite in double precision (log k={intercept!r})") from None
     # + 0.0 turns the -0.0 an exact-zero slope can come out as into 0.0.
     values.update((name, float(c) + 0.0) for name, c in zip(law.exponents, coef))
     return _finalize(series, law(**{field.name: values[field.name] for field in fields(law)}))

@@ -1,7 +1,7 @@
 """Acceptance gate: seven release criteria, each reported as a pass/fail line.
 
-Budgets cover the steady-state work, so compiled kernels are warmed up
-once before any timed section.
+Budgets cover the steady-state work, so both numpy kernels run once on a
+small input before any timed section.
 """
 
 from __future__ import annotations

@@ -106,6 +106,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("ranklaws: error: line 1: ")
 
+    @pytest.mark.parametrize("command, prefix", [(["fit", "--model", "zipf"], ""), (["compare"], "zipf: ")])
+    @pytest.mark.parametrize("text", ["1e300\n1152921504606846976\n12345\n3.5\n1\n0.1\n1e-310\n",
+                                      "1.7e308\n1.6e308\n1.5e308\n1e-300\n"])
+    def test_overflowing_fit_is_fit_error(self, capsys, tmp_path, command, prefix, text):
+        path = tmp_path / "decades.csv"
+        path.write_text(text)
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"ranklaws: fit error: {prefix}zipf fit is not finite")
+        assert captured.err.count("\n") == 1
+
     def test_quiet_silences_diagnostics(self, capsys, tmp_path):
         code = main(["fit", str(tmp_path / "nope.csv"), "--model", "zipf", "--quiet"])
         captured = capsys.readouterr()

@@ -161,6 +161,17 @@ class TestReportInvariants:
         rl.fit_beta_like(four)
         rl.compare_models(four)
 
+    @pytest.mark.parametrize("values", [
+        [1e300, 2.0**60, 12345.0, 3.5, 1.0, 0.1, 1e-310],  # the fitted law overflows at the low ranks
+        [1.7e308, 1.6e308, 1.5e308, 1e-300],  # the fitted K overflows
+    ])
+    def test_overflowing_law_is_fit_error(self, values):
+        series = rl.RankedSeries(np.array(values))
+        with pytest.raises(rl.FitError, match=r"^zipf fit is not finite"):
+            rl.fit_zipf(series)
+        with pytest.raises(rl.FitError, match=r"^zipf: zipf fit is not finite"):
+            rl.compare_models(series)
+
     def test_fit_model_dispatch(self):
         series = rl.curve(rl.ZipfParams(k=2, alpha=1.0), n=10)
         assert rl.fit_model(series, "zipf").params == rl.fit_zipf(series).params
