@@ -109,6 +109,7 @@ def _read_series(args) -> tuple[RankedSeries, list[str], str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{args.input} is not valid UTF-8: {exc}") from exc
+    del raw  # the parse holds the text; a second copy of the input would only add to the peak
     try:
         options = IngestOptions(
             mode="pre-ranked" if args.pre_ranked else "raw",
@@ -117,7 +118,8 @@ def _read_series(args) -> tuple[RankedSeries, list[str], str]:
         )
     except ValidationError as exc:
         raise _FlagError(str(exc)) from exc
-    series, warnings = parse_csv(text, options)
+    # No output carries labels, so none are built.
+    series, warnings = parse_csv(text, options, labels=False)
     return series, warnings, digest
 
 
@@ -158,6 +160,7 @@ def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, 
 
 
 _SCALARS = (str, int, float, type(None))
+_LIST_SLICE = 4096
 
 
 def _json(obj, indent: str = "") -> str:
@@ -166,19 +169,41 @@ def _json(obj, indent: str = "") -> str:
     ``json.dumps`` with an indent encodes every value in pure Python; its C
     encoder runs only without one. This walks the containers itself and
     hands each non-empty list of scalars, such as the residuals, to the C
-    encoder in one call with the indented item separator.
+    encoder in one call with the indented item separator. Every piece goes
+    into one list, joined once, so the text of a large list is copied once
+    rather than once per enclosing container.
     """
+    parts: list[str] = []
+    _encode(obj, indent, parts)
+    return "".join(parts)
+
+
+def _encode(obj, indent: str, parts: list[str]) -> None:
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
-        body = (",\n" + inner).join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)) and obj:
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep + json.dumps(key) + ": ")
+            _encode(value, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
         if all(issubclass(t, _SCALARS) for t in set(map(type, obj))):
-            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            # Encoded in slices, so cutting off the brackets copies one
+            # slice's text at a time rather than the whole list's.
+            sep = "[\n" + inner
+            for i in range(0, len(obj), _LIST_SLICE):
+                parts.append(sep + json.dumps(obj[i : i + _LIST_SLICE], separators=(",\n" + inner, ": "))[1:-1])
+                sep = ",\n" + inner
         else:
-            body = (",\n" + inner).join(_json(item, inner) for item in obj)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(obj)
+            sep = "[\n" + inner
+            for item in obj:
+                parts.append(sep)
+                _encode(item, inner, parts)
+                sep = ",\n" + inner
+        parts.append("\n" + indent + "]")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _format_params(params: models.ModelParams) -> str:

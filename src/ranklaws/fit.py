@@ -114,16 +114,24 @@ def _r2(sse: float, sst: float) -> float:
     return 1.0 - sse / sst
 
 
-def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
-    # Fitted exponents on a series spanning hundreds of decades can make
-    # the tabulated law overflow or underflow; that is reported below as
-    # a FitError instead of numpy warnings and non-finite numbers. A
-    # residual that is not finite makes the SSE not finite.
+def _evaluate(series: RankedSeries, params: models.ModelParams) -> tuple[np.ndarray, float, float]:
+    """Residuals, SSE and R^2 of ``params`` against ``series``, all finite.
+
+    Exponents fitted to a series spanning hundreds of decades can make the
+    tabulated law overflow or underflow; that is raised as a FitError
+    instead of numpy warnings and non-finite numbers. A residual that is
+    not finite makes the SSE not finite.
+    """
     with np.errstate(all="ignore"):
         residuals, sse, sst = _log_sums(np.log(series.values), np.log(models.model_values(params, series.n)))
         r_squared = _r2(sse, sst)
     if not (math.isfinite(sse) and math.isfinite(r_squared)):
         raise FitError(f"{type(params).model} fit is not finite in double precision (log_sse={sse!r})")
+    return residuals, sse, r_squared
+
+
+def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
+    residuals, sse, r_squared = _evaluate(series, params)
     return FitReport(
         model=type(params).model,
         params=params,
@@ -147,11 +155,14 @@ def _centered_ols(columns: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[np.nd
 
 
 def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
-    """Log-space R^2 of a parameter set against an observed series."""
+    """Log-space R^2 of a parameter set against an observed series.
+
+    Raises FitError when the law, its logarithm, the SSE or R^2 is not
+    finite in double precision.
+    """
     if models.law_length(fitted, observed.n) != observed.n:
         raise ValidationError(f"fitted n={fitted.n} does not match series n={observed.n}")
-    _, sse, sst = _log_sums(np.log(observed.values), np.log(models.model_values(fitted, observed.n)))
-    return _r2(sse, sst)
+    return _evaluate(observed, fitted)[2]
 
 
 def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:

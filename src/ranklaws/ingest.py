@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -154,7 +154,9 @@ def _looks_numeric(cell: str) -> bool:
     return True
 
 
-def parse_csv(text: str, options: IngestOptions | None = None) -> tuple[RankedSeries, list[str]]:
+def parse_csv(
+    text: str, options: IngestOptions | None = None, *, labels: bool = True
+) -> tuple[RankedSeries, list[str]]:
     """Parse delimited text into a RankedSeries plus a list of warnings.
 
     Column layout by mode (detected from the first data row's width):
@@ -167,61 +169,91 @@ def parse_csv(text: str, options: IngestOptions | None = None) -> tuple[RankedSe
     dropped and reported in the warnings; in pre-ranked mode the surviving
     rows are re-numbered densely after the original ranks have been
     validated as a permutation of 1..n. One leading byte-order mark
-    (U+FEFF) is ignored.
+    (U+FEFF) is ignored. With ``labels=False`` a label column is still
+    checked for width but its cells are not kept, and the series has no
+    labels.
 
-    Clean raw-mode tables are parsed column by column; pre-ranked input
-    and any input that needs quoting, a line-numbered error or a warning
-    go through the row loop.
+    Clean raw-mode tables are parsed column by column, in slices of about
+    10^6 characters; pre-ranked input and any input that needs quoting, a
+    line-numbered error or a warning go through the row loop.
     """
     if options is None:
         options = IngestOptions()
-    text = text.removeprefix("\ufeff")
-    parsed = _parse_columns(text, options)
-    return parsed if parsed is not None else _parse_rows(text, options)
+    parsed = _parse_columns(text, options, labels)
+    return parsed if parsed is not None else _parse_rows(text.removeprefix("\ufeff"), options, labels)
 
 
-def _parse_columns(text: str, options: IngestOptions) -> tuple[RankedSeries, list[str]] | None:
+# Characters per slice of the column parse. A slice ends just after a
+# newline, so it holds whole lines and never splits a CRLF pair; its lines
+# and cells are the only per-row objects alive at once.
+_SLICE = 1 << 20
+
+
+def _slices(text: str) -> Iterator[str]:
+    start = 1 if text.startswith("\ufeff") else 0  # a byte-order mark is skipped, not copied away
+    while start < len(text):
+        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _parse_columns(text: str, options: IngestOptions, labels: bool) -> tuple[RankedSeries, list[str]] | None:
     """Parse a raw-mode table the row loop would accept without error or warning.
 
     Returns None unless the input shows that splitting on newlines and the
     delimiter gives the rows ``csv.reader`` would: no quote character, no
     carriage return outside a CRLF pair, no NUL (``csv.reader`` rejects it
     before Python 3.11), no line over the csv field size limit, the same
-    width on every non-blank line, and (past an optional header) every
-    value finite and positive. Blank lines are skipped, as the row loop
-    skips them. ``float`` strips less than ``str.strip`` (not
-    U+001C..U+001F), so such a cell falls back rather than parsing
-    differently. Pre-ranked input always goes through the row loop.
+    width on every non-blank line, and (past an optional header on the
+    first non-blank line) every value finite and positive. Blank lines are
+    skipped, as the row loop skips them. ``float`` strips less than
+    ``str.strip`` (not U+001C..U+001F), so such a cell falls back rather
+    than parsing differently. Pre-ranked input always goes through the row
+    loop.
     """
     if options.mode != "raw":
         return None
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
-    lines = list(filter(str.strip, text.split("\n")))
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
+    limit = csv.field_size_limit()
     delimiter = options.delimiter
-    width = lines[0].count(delimiter) + 1
-    if width > 2 or set(map(str.count, lines, repeat(delimiter))) != {width - 1}:
+    width, header = 0, False
+    value_parts: list[np.ndarray] = []
+    label_parts: list[list[str]] = []
+    for piece in _slices(text):
+        lines = list(filter(str.strip, piece.replace("\r\n", "\n").split("\n")))
+        if not lines:
+            continue
+        if max(map(len, lines)) > limit:
+            return None
+        if not width:
+            width = lines[0].count(delimiter) + 1
+            if width > 2:
+                return None
+            header = not _looks_numeric(lines[0].rsplit(delimiter, 1)[-1].strip())
+        if set(map(str.count, lines, repeat(delimiter))) != {width - 1}:
+            return None
+        if header:
+            del lines[0]
+            header = False
+            if not lines:
+                continue
+        cells = delimiter.join(lines).split(delimiter)
+        try:
+            values = np.fromiter(map(float, cells[width - 1 :: width]), np.float64, len(lines))
+        except ValueError:
+            return None
+        if not (np.isfinite(values).all() and (values > 0).all()):
+            return None
+        value_parts.append(values)
+        if width == 2 and labels:
+            label_parts.append(list(map(str.strip, cells[::2])))
+    if not value_parts:
         return None
-    if not _looks_numeric(lines[0].rsplit(delimiter, 1)[-1].strip()):
-        del lines[0]  # header row
-    n = len(lines)
-    if n == 0:
-        return None
-    cells = delimiter.join(lines).split(delimiter)
-    try:
-        values = np.fromiter(map(float, cells[width - 1 :: width]), np.float64, n)
-    except ValueError:
-        return None
-    if not (np.isfinite(values).all() and (values > 0).all()):
-        return None
-    labels = tuple(map(str.strip, cells[::2])) if width == 2 else None
-    return rank_raw(values, labels), []
+    return rank_raw(np.concatenate(value_parts), tuple(chain.from_iterable(label_parts)) if label_parts else None), []
 
 
-def _parse_rows(text: str, options: IngestOptions) -> tuple[RankedSeries, list[str]]:
+def _parse_rows(text: str, options: IngestOptions, labels: bool = True) -> tuple[RankedSeries, list[str]]:
     """Parse row by row with ``csv.reader``: the reference for ``parse_csv``.
 
     The only path that reads quoted fields, names the line of an error and
@@ -254,21 +286,15 @@ def _parse_rows(text: str, options: IngestOptions) -> tuple[RankedSeries, list[s
         if not rows:
             raise ValidationError("input contains no data rows")
 
+    has_labels = labels and width == valid_widths[1]
     warnings: list[str] = []
     parsed: list[tuple[int, float, str | None]] = []  # (rank or line, value, label)
     for line, cells in rows:
         if len(cells) != width:
             raise ParseError(f"expected {width} columns, found {len(cells)}", line=line)
         value = _parse_value(cells[value_col], line)
-        label = None
-        if options.mode == "raw":
-            key = line
-            if width == 2:
-                label = cells[0]
-        else:
-            key = _parse_rank(cells[0], line)
-            if width == 3:
-                label = cells[1]
+        key = line if options.mode == "raw" else _parse_rank(cells[0], line)
+        label = cells[-2] if has_labels else None
         if value <= 0:
             if options.zero_policy == "reject":
                 raise ValidationError(f"non-positive value {value!r}", line=line)
@@ -276,8 +302,6 @@ def _parse_rows(text: str, options: IngestOptions) -> tuple[RankedSeries, list[s
             parsed.append((key, value, label))  # kept for rank validation, dropped below
             continue
         parsed.append((key, value, label))
-
-    has_labels = width == (2 if options.mode == "raw" else 3)
 
     if options.mode == "pre-ranked":
         expected = set(range(1, len(parsed) + 1))
@@ -295,8 +319,8 @@ def _parse_rows(text: str, options: IngestOptions) -> tuple[RankedSeries, list[s
     if not kept:
         raise ValidationError("all rows were dropped; no positive values remain")
     values = np.array([v for v, _ in kept], dtype=np.float64)
-    labels = tuple(lab if lab is not None else "" for _, lab in kept) if has_labels else None
+    kept_labels = tuple(lab for _, lab in kept) if has_labels else None
 
     if options.mode == "raw":
-        return rank_raw(values, labels), warnings
-    return RankedSeries(values, labels), warnings
+        return rank_raw(values, kept_labels), warnings
+    return RankedSeries(values, kept_labels), warnings

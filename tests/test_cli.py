@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ranklaws as rl
@@ -441,6 +441,7 @@ _json_values = st.recursive(
 
 class TestReportEncoding:
     @given(st.one_of(st.dictionaries(_json_text, _json_values), _json_values))
+    @example({"residuals": [i / 7 for i in range(2 * cli._LIST_SLICE + 1)], "rows": [[1.5, None, "x"]] * 3})
     @settings(max_examples=200, deadline=None)
     def test_matches_indented_json_dumps(self, obj):
         assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)

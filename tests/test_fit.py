@@ -112,6 +112,12 @@ class TestRSquared:
         with pytest.raises(rl.ValidationError, match="match"):
             rl.r_squared_log(series, rl.LavaletteParams(k=1, b=1, n=5))
 
+    def test_overflowing_law_is_fit_error(self):
+        # The zipf fit of this series: alpha is a fine double, the law overflows at the low ranks.
+        series = rl.rank_raw([1e300, 2.0**60, 12345.0, 3.5, 1.0, 0.1, 1e-310])
+        with pytest.raises(rl.FitError, match="not finite"):
+            rl.r_squared_log(series, rl.ZipfParams(k=1.0252089753611935e262, alpha=492.21134872891275))
+
     def test_zipf_exempt_from_length_check(self):
         series = rl.RankedSeries(np.array([4.0, 2.0, 1.0]))
         assert rl.r_squared_log(series, rl.ZipfParams(k=4, alpha=1)) <= 1.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,9 +290,13 @@ def tables(draw):
     return text, options
 
 
-def _outcome(parse, text, options):
+# The default slice, and sizes that cut tables inside headers, blank lines and CRLF pairs.
+SLICE_SIZES = [ingest._SLICE, 1, 7, 64]
+
+
+def _outcome(parse, text, options, **kwargs):
     try:
-        return parse(text, options)
+        return parse(text, options, **kwargs)
     except rl.RankLawsError as exc:
         return type(exc), str(exc)
 
@@ -313,7 +318,19 @@ class TestColumnPath:
     @settings(max_examples=400, deadline=None)
     def test_same_result_as_row_loop(self, table):
         text, options = table
-        assert _outcome(rl.parse_csv, text, options) == _outcome(ingest._parse_rows, text, options)
+        expected = _outcome(ingest._parse_rows, text, options)
+        unlabelled = expected
+        if not isinstance(expected[0], type):  # an error does not depend on labels
+            unlabelled = rl.RankedSeries(expected[0].values), expected[1]
+        assert _outcome(ingest._parse_rows, text, options, labels=False) == unlabelled
+        saved = ingest._SLICE
+        try:
+            for size in SLICE_SIZES:
+                ingest._SLICE = size
+                assert _outcome(rl.parse_csv, text, options) == expected
+                assert _outcome(rl.parse_csv, text, options, labels=False) == unlabelled
+        finally:
+            ingest._SLICE = saved
 
     @pytest.mark.parametrize(
         "text, options, values, labels",
@@ -323,17 +340,33 @@ class TestColumnPath:
             ("5.0\r\n3.0\r\n", rl.IngestOptions(), [5.0, 3.0], None),
             ("x\t2.0\ny\t8.0", rl.IngestOptions(delimiter="\t"), [8.0, 2.0], ("y", "x")),
             ("label,value\n\nA,4.0\n \nB,6.0\n\n", rl.IngestOptions(), [6.0, 4.0], ("B", "A")),
+            ("label,value\r\n\r\n\r\nA,4.0\r\nB,6.0\r\n\r\nC,5.0", rl.IngestOptions(), [6.0, 5.0, 4.0], ("B", "C", "A")),
+            ("\ufeff\nlabel,value\nA,4.0\n", rl.IngestOptions(), [4.0], ("A",)),
         ],
     )
     def test_clean_tables_skip_the_row_loop(self, monkeypatch, text, options, values, labels):
-        def row_loop(text, options):
+        def row_loop(text, options, labels=True):
             raise AssertionError("a clean table went through the row loop")
 
         monkeypatch.setattr(ingest, "_parse_rows", row_loop)
-        series, warnings = rl.parse_csv(text, options)
-        assert series.values.tolist() == values
-        assert series.labels == labels
-        assert warnings == []
+        for slice_chars in SLICE_SIZES:
+            monkeypatch.setattr(ingest, "_SLICE", slice_chars)
+            series, warnings = rl.parse_csv(text, options)
+            assert (series.values.tolist(), series.labels, warnings) == (values, labels, [])
+            series, warnings = rl.parse_csv(text, options, labels=False)
+            assert (series.values.tolist(), series.labels, warnings) == (values, None, [])
+
+    def test_unlabelled_parse_peak_stays_within_four_times_the_text(self):
+        values = np.random.default_rng(7).lognormal(size=200_000).tolist()
+        text = "journal,impact\n" + "".join(f"J{i:07d},{v!r}\n" for i, v in enumerate(values))
+        tracemalloc.start()
+        try:
+            series, _ = rl.parse_csv(text, rl.IngestOptions(), labels=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.n == 200_000
+        assert peak < 4 * len(text)
 
 
 class TestIngestOptions:
