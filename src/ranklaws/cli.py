@@ -156,25 +156,26 @@ def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, 
         key: payload,
         "warnings": warnings,
     }
-    return _json(doc) + "\n"
+    return _json(doc)
 
 
 _SCALARS = (str, int, float, type(None))
 _LIST_SLICE = 4096
 
 
-def _json(obj, indent: str = "") -> str:
-    """Return ``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed ``obj``.
+def _json(obj) -> str:
+    """Return ``json.dumps(obj, sort_keys=True, indent=2)`` plus a final newline, for str-keyed ``obj``.
 
     ``json.dumps`` with an indent encodes every value in pure Python; its C
     encoder runs only without one. This walks the containers itself and
     hands each non-empty list of scalars, such as the residuals, to the C
-    encoder in one call with the indented item separator. Every piece goes
-    into one list, joined once, so the text of a large list is copied once
-    rather than once per enclosing container.
+    encoder in one call with the indented item separator. Every piece, the
+    newline too, goes into one list, joined once, so the text of a large
+    list is copied once rather than once per enclosing container.
     """
     parts: list[str] = []
-    _encode(obj, indent, parts)
+    _encode(obj, "", parts)
+    parts.append("\n")
     return "".join(parts)
 
 

@@ -4,14 +4,18 @@ A RankedSeries is the package's core data shape: values sorted in
 decreasing order with dense integer ranks 1..n attached. Raw unordered
 values get ranked by a stable descending sort, so ties keep their input
 order and still receive distinct consecutive ranks.
+
+``parse_csv`` reads every table in one streaming ``csv.reader`` pass and
+keeps per row only what the series needs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -165,28 +169,71 @@ def parse_csv(
     * pre-ranked: ``rank,value`` or ``rank,label,value``
 
     An optional header row is recognized by its value cell failing numeric
-    parse. Under the "drop" policy, rows with non-positive values are
-    dropped and reported in the warnings; in pre-ranked mode the surviving
-    rows are re-numbered densely after the original ranks have been
-    validated as a permutation of 1..n. One leading byte-order mark
-    (U+FEFF) is ignored. With ``labels=False`` a label column is still
-    checked for width but its cells are not kept, and the series has no
-    labels.
+    parse, and blank rows are skipped. Under the "drop" policy, rows with
+    non-positive values are dropped and reported in the warnings; in
+    pre-ranked mode the surviving rows are re-numbered densely after the
+    original ranks have been validated as a permutation of 1..n. One
+    leading byte-order mark (U+FEFF) is ignored. With ``labels=False`` a
+    label column is still checked for width but its cells are not kept, and
+    the series has no labels.
 
-    Clean raw-mode tables are parsed column by column, in slices of about
-    10^6 characters; pre-ranked input and any input that needs quoting, a
-    line-numbered error or a warning go through the row loop.
+    The text goes through ``csv.reader`` once, in slices of about 10^6
+    characters; each row leaves only its value, rank and kept label behind.
+    A malformed CSV record anywhere in the text is reported before an error
+    in any cell.
     """
     if options is None:
         options = IngestOptions()
-    parsed = _parse_columns(text, options, labels)
-    return parsed if parsed is not None else _parse_rows(text.removeprefix("\ufeff"), options, labels)
+    reader = _reader(text, options.delimiter)
+    try:
+        try:
+            values, ranks, row_labels, warnings, header = _read_rows(reader, options, labels)
+        except ValidationError:
+            for _ in reader:  # a malformed record later in the text is reported first
+                pass
+            raise
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    if not values:
+        raise ValidationError("input contains no data rows")
+
+    kept = np.frombuffer(values)
+    if options.mode == "pre-ranked":
+        ranks = np.frombuffer(ranks, np.int64)
+        order = np.argsort(ranks, kind="stable")
+        ordered = ranks[order]
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            line, cells = _find_row(text, options.delimiter, int(repeats.min()) + header)
+            raise ValidationError(f"duplicate rank {int(cells[0].strip())}", line=line)
+        missing = np.setdiff1d(np.arange(1, kept.size + 1), ordered, assume_unique=True)
+        if missing.size:
+            raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: missing {missing.tolist()}")
+        kept = kept[order]
+        if row_labels is not None:
+            row_labels = list(map(row_labels.__getitem__, order.tolist()))
+    if warnings:
+        positive = kept > 0
+        kept = kept[positive]
+        if not kept.size:
+            raise ValidationError("all rows were dropped; no positive values remain")
+        if row_labels is not None:
+            row_labels = list(compress(row_labels, positive.tolist()))
+
+    if options.mode == "raw":
+        return rank_raw(kept, row_labels), warnings
+    return RankedSeries(kept, row_labels), warnings
 
 
-# Characters per slice of the column parse. A slice ends just after a
-# newline, so it holds whole lines and never splits a CRLF pair; its lines
-# and cells are the only per-row objects alive at once.
+# Characters per slice fed to csv.reader. A slice ends just after a
+# newline, so the reader sees the same lines as for the whole text, while
+# a StringIO (4 bytes per character) holds one slice at a time.
 _SLICE = 1 << 20
+
+# A rank of this magnitude or more is stored as _HUGE plus an index per
+# distinct value, so that any int fits the int64 rank array.
+_HUGE = 1 << 62
+_INF = float("inf")
 
 
 def _slices(text: str) -> Iterator[str]:
@@ -197,130 +244,72 @@ def _slices(text: str) -> Iterator[str]:
         start = end
 
 
-def _parse_columns(text: str, options: IngestOptions, labels: bool) -> tuple[RankedSeries, list[str]] | None:
-    """Parse a raw-mode table the row loop would accept without error or warning.
+def _reader(text: str, delimiter: str):
+    return csv.reader(chain.from_iterable(map(io.StringIO, _slices(text))), delimiter=delimiter)
 
-    Returns None unless the input shows that splitting on newlines and the
-    delimiter gives the rows ``csv.reader`` would: no quote character, no
-    carriage return outside a CRLF pair, no NUL (``csv.reader`` rejects it
-    before Python 3.11), no line over the csv field size limit, the same
-    width on every non-blank line, and (past an optional header on the
-    first non-blank line) every value finite and positive. Blank lines are
-    skipped, as the row loop skips them. ``float`` strips less than
-    ``str.strip`` (not U+001C..U+001F), so such a cell falls back rather
-    than parsing differently. Pre-ranked input always goes through the row
-    loop.
+
+def _read_rows(reader, options: IngestOptions, labels: bool):
+    """Convert each row as ``reader`` yields it; returns (values, ranks, labels, warnings, header).
+
+    A row whose cells convert at once to a finite positive value is taken
+    without stripping: ``float`` and ``int`` strip a subset of what
+    ``str.strip`` does, so they read such a cell as its stripped text. Every
+    other row (blank, the first, faulty, or one to drop) is stripped and
+    checked in the order that picks which error to report. Dropped rows
+    stay in the values until their ranks are validated.
     """
-    if options.mode != "raw":
-        return None
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        return None
-    limit = csv.field_size_limit()
-    delimiter = options.delimiter
-    width, header = 0, False
-    value_parts: list[np.ndarray] = []
-    label_parts: list[list[str]] = []
-    for piece in _slices(text):
-        lines = list(filter(str.strip, piece.replace("\r\n", "\n").split("\n")))
-        if not lines:
-            continue
-        if max(map(len, lines)) > limit:
-            return None
-        if not width:
-            width = lines[0].count(delimiter) + 1
-            if width > 2:
-                return None
-            header = not _looks_numeric(lines[0].rsplit(delimiter, 1)[-1].strip())
-        if set(map(str.count, lines, repeat(delimiter))) != {width - 1}:
-            return None
-        if header:
-            del lines[0]
-            header = False
-            if not lines:
-                continue
-        cells = delimiter.join(lines).split(delimiter)
-        try:
-            values = np.fromiter(map(float, cells[width - 1 :: width]), np.float64, len(lines))
-        except ValueError:
-            return None
-        if not (np.isfinite(values).all() and (values > 0).all()):
-            return None
-        value_parts.append(values)
-        if width == 2 and labels:
-            label_parts.append(list(map(str.strip, cells[::2])))
-    if not value_parts:
-        return None
-    return rank_raw(np.concatenate(value_parts), tuple(chain.from_iterable(label_parts)) if label_parts else None), []
-
-
-def _parse_rows(text: str, options: IngestOptions, labels: bool = True) -> tuple[RankedSeries, list[str]]:
-    """Parse row by row with ``csv.reader``: the reference for ``parse_csv``.
-
-    The only path that reads quoted fields, names the line of an error and
-    produces drop warnings.
-    """
-    reader = csv.reader(io.StringIO(text), delimiter=options.delimiter)
-    rows: list[tuple[int, list[str]]] = []
-    try:
-        for cells in reader:
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            rows.append((reader.line_num, [c.strip() for c in cells]))
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
-    if not rows:
-        raise ValidationError("input contains no data rows")
-
-    width = len(rows[0][1])
-    if options.mode == "raw":
-        valid_widths, value_col = (1, 2), width - 1
-    else:
-        valid_widths, value_col = (2, 3), width - 1
-    if width not in valid_widths:
-        raise ParseError(
-            f"expected {' or '.join(map(str, valid_widths))} columns in {options.mode} mode, found {width}",
-            line=rows[0][0],
-        )
-    if not _looks_numeric(rows[0][1][value_col]):
-        rows = rows[1:]  # header row
-        if not rows:
-            raise ValidationError("input contains no data rows")
-
-    has_labels = labels and width == valid_widths[1]
+    pre_ranked = options.mode == "pre-ranked"
+    widths = (2, 3) if pre_ranked else (1, 2)
+    values = array("d")
+    ranks = array("q")
+    huge: dict[int, int] = {}
+    row_labels: list[str] | None = None
     warnings: list[str] = []
-    parsed: list[tuple[int, float, str | None]] = []  # (rank or line, value, label)
-    for line, cells in rows:
-        if len(cells) != width:
-            raise ParseError(f"expected {width} columns, found {len(cells)}", line=line)
-        value = _parse_value(cells[value_col], line)
-        key = line if options.mode == "raw" else _parse_rank(cells[0], line)
-        label = cells[-2] if has_labels else None
-        if value <= 0:
-            if options.zero_policy == "reject":
-                raise ValidationError(f"non-positive value {value!r}", line=line)
-            warnings.append(f"line {line}: dropped non-positive value {value!r}")
-            parsed.append((key, value, label))  # kept for rank validation, dropped below
-            continue
-        parsed.append((key, value, label))
+    width, header, rank = None, False, 0
+    for cells in reader:
+        value = 0.0
+        if len(cells) == width:
+            try:
+                value = float(cells[-1])
+                if pre_ranked:
+                    rank = int(cells[0])
+            except ValueError:
+                value = 0.0
+        if not 0.0 < value < _INF:
+            cells = [c.strip() for c in cells]
+            if not any(cells):
+                continue
+            line = reader.line_num
+            if width is None:
+                width = len(cells)
+                if width not in widths:
+                    raise ParseError(
+                        f"expected {widths[0]} or {widths[1]} columns in {options.mode} mode, found {width}", line=line
+                    )
+                if labels and width == widths[1]:
+                    row_labels = []
+                if not _looks_numeric(cells[-1]):
+                    header = True
+                    continue
+            if len(cells) != width:
+                raise ParseError(f"expected {width} columns, found {len(cells)}", line=line)
+            value = _parse_value(cells[-1], line)
+            if pre_ranked:
+                rank = _parse_rank(cells[0], line)
+            if value <= 0:
+                if options.zero_policy == "reject":
+                    raise ValidationError(f"non-positive value {value!r}", line=line)
+                warnings.append(f"line {line}: dropped non-positive value {value!r}")
+        values.append(value)
+        if pre_ranked:
+            ranks.append(rank if -_HUGE < rank < _HUGE else _HUGE + huge.setdefault(rank, len(huge)))
+        if row_labels is not None:
+            row_labels.append(cells[-2].strip())
+    return values, ranks, row_labels, warnings, header
 
-    if options.mode == "pre-ranked":
-        expected = set(range(1, len(parsed) + 1))
-        seen: set[int] = set()
-        for line_row, (rank, _, _) in zip(rows, parsed):
-            if rank in seen:
-                raise ValidationError(f"duplicate rank {rank}", line=line_row[0])
-            seen.add(rank)
-        missing = sorted(expected - seen)
-        if missing:
-            raise ValidationError(f"ranks are not a permutation of 1..{len(parsed)}: missing {missing}")
-        parsed.sort(key=lambda item: item[0])
 
-    kept = [(v, lab) for _, v, lab in parsed if v > 0]
-    if not kept:
-        raise ValidationError("all rows were dropped; no positive values remain")
-    values = np.array([v for v, _ in kept], dtype=np.float64)
-    kept_labels = tuple(lab for _, lab in kept) if has_labels else None
-
-    if options.mode == "raw":
-        return rank_raw(values, kept_labels), warnings
-    return RankedSeries(values, kept_labels), warnings
+def _find_row(text: str, delimiter: str, index: int) -> tuple[int, list[str]]:
+    """Read the text again for the line number and cells of non-blank row ``index``."""
+    reader = _reader(text, delimiter)
+    rows = ((reader.line_num, cells) for cells in reader if any(map(str.strip, cells)))
+    return next(islice(rows, index, None))

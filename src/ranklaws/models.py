@@ -139,7 +139,8 @@ def evaluate(params: ModelParams, r: int) -> float:
 
     The laws are defined only on the rank lattice: 1 <= r <= n for the
     n-bearing models, r >= 1 for zipf. Raises ValidationError outside that
-    range. The result is always finite and strictly positive.
+    range. The result is always finite and strictly positive; where it would
+    leave double range, ValidationError names the law and the rank.
     """
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
         raise ValidationError(f"rank must be an integer, got {r!r}")
@@ -151,7 +152,14 @@ def evaluate(params: ModelParams, r: int) -> float:
         n = r  # zipf puts power 0 on N+1-r, so any N >= r will do
     elif not 1 <= r <= n:
         raise ValidationError(f"rank {r} outside valid range 1..{n}")
-    return _law_values(params, r, n)
+    try:
+        with np.errstate(all="ignore"):  # numpy scalar params warn and give inf or 0 instead of raising
+            value = _law_values(params, r, n)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{params.model} value at rank {r} is outside the double range for {params!r}")
+    return value
 
 
 def model_values(params: ModelParams, n: int) -> np.ndarray:

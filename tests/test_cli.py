@@ -444,17 +444,16 @@ class TestReportEncoding:
     @example({"residuals": [i / 7 for i in range(2 * cli._LIST_SLICE + 1)], "rows": [[1.5, None, "x"]] * 3})
     @settings(max_examples=200, deadline=None)
     def test_matches_indented_json_dumps(self, obj):
-        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [["fit", FIXTURE, "--model", "beta-like"], ["compare", FIXTURE]])
     def test_real_documents_match_indented_json_dumps(self, capsys, monkeypatch, argv):
         docs = []
         encode = cli._json
 
-        def spy(obj, indent=""):
-            if not indent:
-                docs.append(obj)
-            return encode(obj, indent)
+        def spy(obj):
+            docs.append(obj)
+            return encode(obj)
 
         monkeypatch.setattr(cli, "_json", spy)
         assert main([*argv, "--quiet"]) == 0

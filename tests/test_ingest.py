@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ranklaws as rl
+from ingest_reference import _parse_rows
 from ranklaws import ingest
 
 positive_floats = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
@@ -256,7 +257,7 @@ LABELS = st.text(alphabet="abXY _-.09\u00a0\x00", max_size=4)
 
 @st.composite
 def tables(draw):
-    """A clean table, then up to three edits that may send it to the row loop."""
+    """A clean table, then up to three edits that make a row faulty, dropped, quoted or blank."""
     mode = draw(st.sampled_from(["raw", "pre-ranked"]))
     delimiter = draw(st.sampled_from([",", "\t"]))
     options = rl.IngestOptions(mode=mode, zero_policy=draw(st.sampled_from(["reject", "drop"])), delimiter=delimiter)
@@ -271,10 +272,14 @@ def tables(draw):
         rows.append(row)
     if draw(st.booleans()):
         rows.insert(0, [draw(st.sampled_from(["rank", "label", "value", "", "1"])) for _ in range(width)])
-    edits = draw(st.lists(st.sampled_from(["value", "cell", "ragged", "blank", "quote", "cr"]), max_size=3))
+    edits = draw(st.lists(st.sampled_from(["value", "cell", "ragged", "blank", "label", "quote", "cr"]), max_size=3))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
     for edit in [e for e in edits if e not in ("quote", "cr")]:
         i = draw(st.integers(0, len(rows) - 1))
-        if edit == "value":
+        if edit == "label":  # a quoted record over two lines, so slices can cut inside it
+            if len(rows[i]) > 1:
+                rows[i][-2] = f'"{draw(LABELS)}{delimiter}{draw(LABELS)}{eol}{draw(LABELS)}"'
+        elif edit == "value":
             rows[i][-1] = draw(ODD_VALUES)
         elif edit == "cell":
             rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.text(alphabet="0123456789+-.eEinfa x", max_size=5))
@@ -282,15 +287,14 @@ def tables(draw):
             rows[i] = rows[i][:-1] if len(rows[i]) > 1 else rows[i] + ["1"]
         else:
             rows.insert(i, draw(st.sampled_from([[""], [" "], ["", ""]])))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(delimiter.join(row) for row in rows) + draw(st.sampled_from([eol, ""]))
     for edit in [e for e in edits if e in ("quote", "cr")]:
         pos = draw(st.integers(0, len(text)))
         text = text[:pos] + ('"' if edit == "quote" else "\r") + text[pos:]
-    return text, options
+    return draw(st.sampled_from(["", "\ufeff"])) + text, options
 
 
-# The default slice, and sizes that cut tables inside headers, blank lines and CRLF pairs.
+# The default slice, and sizes that cut tables inside headers, blank lines, CRLF pairs and quoted records.
 SLICE_SIZES = [ingest._SLICE, 1, 7, 64]
 
 
@@ -302,7 +306,7 @@ def _outcome(parse, text, options, **kwargs):
 
 
 class TestColumnPath:
-    """parse_csv reads clean tables column by column; the row loop is the reference."""
+    """parse_csv against the row loop it replaced, kept in tests/ingest_reference.py."""
 
     @given(tables())
     @example(("4.0\ninf\n2.0\n", rl.IngestOptions()))
@@ -315,14 +319,19 @@ class TestColumnPath:
     @example(("5,4.0\n2.0\n3,7,1.0\n", rl.IngestOptions()))  # ragged rows with the right cell count
     @example(('"a,b",4.0\nc,2.0\n', rl.IngestOptions()))
     @example(("x" * 200_000 + ",4.0\n", rl.IngestOptions()))
+    @example(("4.0\nx\n2.0\na\rb\n", rl.IngestOptions()))  # a malformed record after a bad cell
+    @example(("1,4.0\n1,2.0\n3,x\n", rl.IngestOptions(mode="pre-ranked")))  # a bad cell after a duplicate
+    @example(('rank,label,value\n2,"a\nb",4.0\n1,c,5.0\n2,d,3.0\n', rl.IngestOptions(mode="pre-ranked")))
+    @example(("1,5\n99999999999999999999,4\n99999999999999999999,3\n", rl.IngestOptions(mode="pre-ranked")))
+    @example(("1,5\n4611686018427387904,4\n-4611686018427387904,3\n", rl.IngestOptions(mode="pre-ranked")))
     @settings(max_examples=400, deadline=None)
     def test_same_result_as_row_loop(self, table):
         text, options = table
-        expected = _outcome(ingest._parse_rows, text, options)
+        expected = _outcome(_parse_rows, text.removeprefix("\ufeff"), options)
         unlabelled = expected
         if not isinstance(expected[0], type):  # an error does not depend on labels
             unlabelled = rl.RankedSeries(expected[0].values), expected[1]
-        assert _outcome(ingest._parse_rows, text, options, labels=False) == unlabelled
+        assert _outcome(_parse_rows, text.removeprefix("\ufeff"), options, labels=False) == unlabelled
         saved = ingest._SLICE
         try:
             for size in SLICE_SIZES:
@@ -344,11 +353,7 @@ class TestColumnPath:
             ("\ufeff\nlabel,value\nA,4.0\n", rl.IngestOptions(), [4.0], ("A",)),
         ],
     )
-    def test_clean_tables_skip_the_row_loop(self, monkeypatch, text, options, values, labels):
-        def row_loop(text, options, labels=True):
-            raise AssertionError("a clean table went through the row loop")
-
-        monkeypatch.setattr(ingest, "_parse_rows", row_loop)
+    def test_clean_tables_at_every_slice_size(self, monkeypatch, text, options, values, labels):
         for slice_chars in SLICE_SIZES:
             monkeypatch.setattr(ingest, "_SLICE", slice_chars)
             series, warnings = rl.parse_csv(text, options)
@@ -357,16 +362,38 @@ class TestColumnPath:
             assert (series.values.tolist(), series.labels, warnings) == (values, None, [])
 
     def test_unlabelled_parse_peak_stays_within_four_times_the_text(self):
-        values = np.random.default_rng(7).lognormal(size=200_000).tolist()
-        text = "journal,impact\n" + "".join(f"J{i:07d},{v!r}\n" for i, v in enumerate(values))
-        tracemalloc.start()
-        try:
-            series, _ = rl.parse_csv(text, rl.IngestOptions(), labels=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text = "journal,impact\n" + "".join(f"J{i:07d},{v!r}\n" for i, v in enumerate(_impacts()))
+        series, peak = _parse_peak(text, rl.IngestOptions())
+        assert series.n == 200_000
+        assert peak < 2 * len(text)
+
+    def test_dropped_and_quoted_rows_parse_within_twice_the_text(self):
+        rows = "".join(f"J{i:07d},{v!r}\n" for i, v in enumerate(_impacts()))
+        text = 'journal,impact\n"New, Journal",0\n"Quoted, Journal",1.5\n' + rows
+        series, peak = _parse_peak(text, rl.IngestOptions(zero_policy="drop"))
+        assert series.n == 200_001
+        assert peak < 2 * len(text)
+
+    def test_pre_ranked_parse_peak_stays_within_four_times_the_text(self):
+        values = sorted(_impacts(), reverse=True)
+        text = "rank,impact\n" + "".join(f"{i + 1},{v!r}\n" for i, v in enumerate(values))
+        series, peak = _parse_peak(text, rl.IngestOptions(mode="pre-ranked"))
         assert series.n == 200_000
         assert peak < 4 * len(text)
+
+
+def _impacts() -> list[float]:
+    return np.random.default_rng(7).lognormal(size=200_000).tolist()
+
+
+def _parse_peak(text, options):
+    """Parse as the CLI does, without labels; returns the series and the traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        series, _ = rl.parse_csv(text, options, labels=False)
+        return series, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestIngestOptions:

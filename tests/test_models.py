@@ -48,6 +48,20 @@ class TestEvaluate:
     def test_numpy_integer_rank_accepted(self):
         assert rl.evaluate(rl.ZipfParams(k=1, alpha=1), np.int64(2)) == 0.5
 
+    @pytest.mark.parametrize(
+        "params, rank",
+        [
+            (rl.ZipfParams(k=1, alpha=-400), 10),  # 1 / 10^-400: the divisor underflows to zero
+            (rl.BetaLikeParams(k=1, a=0, b=400, n=20), 1),
+            (rl.MandelbrotParams(rho=0, epsilon=400, n=20), 1),
+            (rl.ZipfParams(k=1, alpha=400), 10),  # underflows to 0.0
+            (rl.ZipfParams(k=1, alpha=np.float64(-400)), 10),  # numpy divides by zero with a warning
+        ],
+    )
+    def test_value_outside_double_range_rejected(self, params, rank):
+        with pytest.raises(rl.ValidationError, match=f"^{params.model} value at rank {rank} "):
+            rl.evaluate(params, rank)
+
 
 class TestCurve:
     def test_beta_like_b_zero_is_inverse_rank(self):
