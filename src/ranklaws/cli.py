@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands: fit, compare, generate, simulate, plotdata. Machine output
-(JSON report, CSV series, TSV plot data) goes to --output when given,
-otherwise to stdout; the human summary then goes to stdout or stderr
-respectively, and --quiet drops it. plotdata puts one "ranklaws: warning:"
-line per input or fit warning before its summary, since the TSV has no
-place for them. JSON reports serialize with sorted keys, two-space indent
-and LF line endings so identical inputs give byte-identical files.
+Subcommands: fit, compare, generate, simulate, plotdata. fit, compare and
+plotdata read an input table, shaped by --delimiter, --zero-policy and
+--pre-ranked. Machine output (JSON report, CSV series, TSV plot data) goes
+to --output when given, otherwise to stdout; the human summary then goes
+to stdout or stderr respectively, and --quiet drops it. plotdata puts one
+"ranklaws: warning:" line per input or fit warning before its summary,
+since the TSV has no place for them. JSON reports serialize with sorted
+keys, two-space indent and LF line endings so identical inputs give
+byte-identical files.
 
 Exit codes: 0 success, 1 unreadable or invalid input data, 2 fit
-failure, 64 bad flags or flag-supplied parameters. Nothing is written to
-stdout on a nonzero exit.
+failure, 64 bad flags or flag-supplied parameters (generate values
+outside double range too). Nothing is written to stdout on a nonzero exit.
 """
 
 from __future__ import annotations
@@ -42,56 +44,69 @@ class _FlagError(Exception):
     """A flag value failed validation; maps to exit 64."""
 
 
+def _from_flags(build, *args, **kwargs):
+    """Call ``build``, reporting a ValidationError as a _FlagError: its arguments came from flags."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise _FlagError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+# Law flags of generate, in option order: flag -> (type, help). An unset flag stays None.
+_LAW_FLAGS = {
+    "n": (int, "series length"),
+    "k": (float, "scale factor K (zipf, lavalette, beta-like)"),
+    "alpha": (float, "zipf exponent"),
+    "a": (float, "beta-like rank exponent"),
+    "b": (float, "lavalette / beta-like depletion exponent"),
+    "rho": (float, "mandelbrot rank offset"),
+    "epsilon": (float, "mandelbrot exponent shift"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--delimiter", default=",", help="field delimiter for CSV input/output (default: comma)")
-    common.add_argument("--zero-policy", choices=("reject", "drop"), default="drop",
+    source = _Parser(add_help=False)
+    source.add_argument("input", help="CSV/TSV file of values (or rank,value with --pre-ranked)")
+    source.add_argument("--delimiter", default=",", help="field delimiter for CSV input (default: comma)")
+    source.add_argument("--zero-policy", choices=("reject", "drop"), default="drop",
                         help="what to do with non-positive values (default: drop with a warning)")
-    common.add_argument("--pre-ranked", action="store_true",
+    source.add_argument("--pre-ranked", action="store_true",
                         help="input rows carry an explicit rank column instead of being sorted here")
-    common.add_argument("--output", metavar="PATH", help="write machine output here instead of stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress the human summary and diagnostics")
+    output = _Parser(add_help=False)
+    output.add_argument("--output", metavar="PATH", help="write machine output here instead of stdout")
+    output.add_argument("--quiet", action="store_true", help="suppress the human summary and diagnostics")
+    model = _Parser(add_help=False)
+    model.add_argument("--model", required=True, choices=models.MODEL_TAGS)
 
     parser = _Parser(prog="ranklaws", description="Fit and compare rank-order distribution laws.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[common], help="fit one model to a ranked series")
-    p_fit.add_argument("input", help="CSV/TSV file of values (or rank,value with --pre-ranked)")
-    p_fit.add_argument("--model", required=True, choices=models.MODEL_TAGS)
+    p_fit = sub.add_parser("fit", parents=[source, output, model], help="fit one model to a ranked series")
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_cmp = sub.add_parser("compare", parents=[common], help="fit all four models and rank them")
-    p_cmp.add_argument("input")
+    p_cmp = sub.add_parser("compare", parents=[source, output], help="fit all four models and rank them")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_gen = sub.add_parser("generate", parents=[common], help="emit a synthetic series as CSV")
-    p_gen.add_argument("--model", required=True, choices=models.MODEL_TAGS)
-    p_gen.add_argument("--n", type=int, help="series length")
-    p_gen.add_argument("--k", type=float, help="scale factor K (zipf, lavalette, beta-like)")
-    p_gen.add_argument("--alpha", type=float, help="zipf exponent")
-    p_gen.add_argument("--a", type=float, help="beta-like rank exponent")
-    p_gen.add_argument("--b", type=float, help="lavalette / beta-like depletion exponent")
-    p_gen.add_argument("--rho", type=float, help="mandelbrot rank offset")
-    p_gen.add_argument("--epsilon", type=float, help="mandelbrot exponent shift")
+    p_gen = sub.add_parser("generate", parents=[output, model], help="emit a synthetic series as CSV")
+    for name, (kind, text) in _LAW_FLAGS.items():
+        p_gen.add_argument(f"--{name}", type=kind, help=text)
     p_gen.add_argument("--sigma", type=float, default=0.0, help="lognormal noise level (default 0)")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_gen.set_defaults(func=_cmd_generate)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run the preferential-attachment process")
+    p_sim = sub.add_parser("simulate", parents=[output], help="run the preferential-attachment process")
     p_sim.add_argument("--p-new", type=float, required=True, help="probability a step founds a new source")
     p_sim.add_argument("--steps", type=int, required=True, help="total items to allocate")
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_plot = sub.add_parser("plotdata", parents=[common], help="emit rank/observed/fitted/residual TSV")
-    p_plot.add_argument("input")
-    p_plot.add_argument("--model", required=True, choices=models.MODEL_TAGS)
+    p_plot = sub.add_parser("plotdata", parents=[source, output, model], help="emit rank/observed/fitted/residual TSV")
     p_plot.set_defaults(func=_cmd_plotdata)
 
     return parser
@@ -110,14 +125,8 @@ def _read_series(args) -> tuple[RankedSeries, list[str], str]:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{args.input} is not valid UTF-8: {exc}") from exc
     del raw  # the parse holds the text; a second copy of the input would only add to the peak
-    try:
-        options = IngestOptions(
-            mode="pre-ranked" if args.pre_ranked else "raw",
-            zero_policy=args.zero_policy,
-            delimiter=args.delimiter,
-        )
-    except ValidationError as exc:
-        raise _FlagError(str(exc)) from exc
+    mode = "pre-ranked" if args.pre_ranked else "raw"
+    options = _from_flags(IngestOptions, mode=mode, zero_policy=args.zero_policy, delimiter=args.delimiter)
     # No output carries labels, so none are built.
     series, warnings = parse_csv(text, options, labels=False)
     return series, warnings, digest
@@ -253,35 +262,25 @@ def _params_from_flags(args) -> models.ModelParams:
     law = models.LAWS[args.model]
     fields = [field.name for field in dataclasses.fields(law)]
     needed = ["n"] + [name for name in fields if name != "n"]
-    supplied = {f: getattr(args, f) for f in ("n", "k", "alpha", "a", "b", "rho", "epsilon")}
+    supplied = {f: getattr(args, f) for f in _LAW_FLAGS}
     if any(supplied[f] is None for f in needed):
         raise _FlagError(f"model {args.model} requires " + " ".join(f"--{f}" for f in needed))
     extra = [f for f, v in supplied.items() if v is not None and f not in needed]
     if extra:
         raise _FlagError(f"--{extra[0]} does not apply to model {args.model}")
-    try:
-        return law(**{name: supplied[name] for name in fields})
-    except ValidationError as exc:
-        raise _FlagError(str(exc)) from exc
+    return _from_flags(law, **{name: supplied[name] for name in fields})
 
 
 def _cmd_generate(args) -> int:
     params = _params_from_flags(args)
-    if args.n < 1:
-        raise _FlagError(f"series length must be >= 1, got {args.n}")
-    try:
-        noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
-    except ValidationError as exc:
-        raise _FlagError(str(exc)) from exc
-    series = generate_synthetic(params, noise, n=args.n)
+    noise = _from_flags(NoiseSpec, sigma=args.sigma, seed=args.seed)
+    # The length and values outside double range are rejected here too.
+    series = _from_flags(generate_synthetic, params, noise, n=args.n)
     return _emit(args, _series_csv(series), f"generated {series.n} values ({args.model}, sigma={args.sigma:g})")
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        config = SimonConfig(p_new=args.p_new, steps=args.steps, seed=args.seed)
-    except ValidationError as exc:
-        raise _FlagError(str(exc)) from exc
+    config = _from_flags(SimonConfig, p_new=args.p_new, steps=args.steps, seed=args.seed)
     series = simulate_simon(config)
     return _emit(args, _series_csv(series), f"simulated {config.steps} items over {series.n} sources")
 
@@ -298,31 +297,22 @@ def _cmd_plotdata(args) -> int:
     return _emit(args, "\n".join(lines) + "\n", summary)
 
 
+# Exit code and message prefix per exception class; a class not listed takes its nearest listed base's.
+_EXITS = {_FlagError: (64, "error"), ValidationError: (1, "error"), FitError: (2, "fit error"), OSError: (1, "error")}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    quiet = bool(getattr(args, "quiet", False))
     try:
         return args.func(args)
-    except _FlagError as exc:
-        if not quiet:
-            print(f"ranklaws: error: {exc}", file=sys.stderr)
-        return 64
-    except ValidationError as exc:
-        if not quiet:
-            print(f"ranklaws: error: {exc}", file=sys.stderr)
-        return 1
-    except FitError as exc:
-        if not quiet:
-            print(f"ranklaws: fit error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        if not quiet:
-            print(f"ranklaws: error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
+        if not args.quiet:
+            print(f"ranklaws: {prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def console_main() -> None:

@@ -209,8 +209,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     lo, hi = _RHO_LOWER, 10.0 * series.n
 
     def objective(rho: float) -> float:
-        sse = accel.mandelbrot_profile(y, rho)[1]
-        return sse if math.isfinite(sse) else math.inf
+        return accel.mandelbrot_profile(y, rho)[1]
 
     a, b = lo, hi
     c = b - (b - a) * _INVPHI
@@ -227,9 +226,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
             fd = objective(d)
     rho = (a + b) / 2.0
 
-    slope, sse = accel.mandelbrot_profile(y, rho)
-    if not (math.isfinite(slope) and math.isfinite(sse)):
-        raise FitError("mandelbrot fit found no finite objective inside the rho bracket")
+    slope = accel.mandelbrot_profile(y, rho)[0]
     warnings: tuple[str, ...] = ()
     edge = 1e-6 * (hi - lo)
     if rho <= lo + edge or rho >= hi - edge:

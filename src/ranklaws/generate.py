@@ -65,14 +65,16 @@ def generate_synthetic(params: models.ModelParams, noise: NoiseSpec, n: int | No
     ``n`` is required for zipf parameters (they carry no length) and must
     match ``params.n`` for the rest. With sigma = 0 the output equals
     curve(params) exactly. Noise can break monotonicity, so the perturbed
-    values are re-sorted descending and re-ranked.
+    values are re-sorted descending and re-ranked. Values that leave double
+    range raise ValidationError.
     """
     n = models.law_length(params) if n is None else n
     if n is None:
         raise ValidationError("zipf generation needs an explicit length n")
-    base = models.model_values(params, n)
     rng = np.random.default_rng(noise.seed)
-    return rank_raw(base * np.exp(rng.normal(0.0, noise.sigma, size=n)))
+    with np.errstate(all="ignore"):  # an overflow or underflow gives inf or 0, which rank_raw rejects
+        values = models.model_values(params, n) * np.exp(rng.normal(0.0, noise.sigma, size=n))
+    return rank_raw(values)
 
 
 def simulate_simon(config: SimonConfig) -> RankedSeries:

@@ -81,6 +81,15 @@ class TestMandelbrotProfileParity:
                 assert slope == pytest.approx(ref_slope, rel=1e-12)
                 assert sse == pytest.approx(ref_sse, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [-0.99, 30.0])
+    def test_finite_at_bracket_edges_on_widest_values(self, rho):
+        # Every log value of a double lies in [-745, 710], and the fit's rho
+        # bracket (-0.99, 10 n] keeps the regressor finite and nonzero, so the
+        # slope and SSE stay finite; n = 3 is the shortest mandelbrot fit.
+        log_values = np.log(np.array([1.7e308, 1.0, 5e-324]))
+        slope, sse = accel.mandelbrot_profile(log_values, rho)
+        assert np.isfinite(slope) and np.isfinite(sse)
+
     def test_degenerate_regressor_guard(self):
         # n = 1 gives a single x that is exactly zero; the profile must not
         # divide by a zero sum of squares.

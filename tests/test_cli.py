@@ -126,6 +126,29 @@ class TestExitCodes:
         assert captured.err == ""
         assert captured.out == ""
 
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path, plain_csv, quiet):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["fit", plain_csv, "--model", "zipf", "--output", str(out), *["--quiet"] * quiet])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        if quiet:
+            assert captured.err == ""
+        else:
+            assert captured.err.startswith("ranklaws: error: ")
+            assert captured.err.count("\n") == 1
+            assert "x.json" in captured.err
+
+    @pytest.mark.parametrize("flag", [["--delimiter", ";"], ["--zero-policy", "reject"], ["--pre-ranked"]])
+    @pytest.mark.parametrize("command", [["generate", "--model", "zipf", "--n", "3", "--k", "1", "--alpha", "1"],
+                                         ["simulate", "--p-new", "0.5", "--steps", "10"]])
+    def test_input_flags_only_on_commands_that_read_input(self, capsys, command, flag):
+        assert main([*command, *flag]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag[0]}" in captured.err
+
 
 class TestFitCommand:
     def test_json_document_shape(self, capsys, zipf_csv):
@@ -299,6 +322,19 @@ class TestGenerateCommand:
     def test_negative_sigma_rejected(self, capsys):
         assert main(["generate", "--model", "zipf", "--n", "5", "--k", "1",
                      "--alpha", "1", "--sigma", "-0.5"]) == 64
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "-400"], "values must all be finite"),
+        (["--alpha", "400"], "values must all be strictly positive"),
+        (["--alpha", "1", "--sigma", "1000", "--seed", "3"], "values must all be finite"),
+    ])
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_values_outside_double_range_rejected(self, capsys, flags, message, quiet):
+        argv = ["generate", "--model", "zipf", "--k", "1", "--n", "20", *flags, *["--quiet"] * quiet]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("" if quiet else f"ranklaws: error: {message}\n")
 
 
 class TestSimulateCommand:

@@ -55,6 +55,16 @@ class TestGenerateSynthetic:
         assert rep.params.a == pytest.approx(0.4058, abs=0.04)
         assert rep.params.b == pytest.approx(0.991, abs=0.04)
 
+    @pytest.mark.parametrize("params, sigma", [
+        (rl.ZipfParams(k=1.0, alpha=-400.0), 0.0),
+        (rl.ZipfParams(k=1.0, alpha=400.0), 0.0),
+        (rl.MandelbrotParams(rho=-0.999, epsilon=300.0, n=20), 0.0),
+        (rl.ZipfParams(k=1.0, alpha=1.0), 1000.0),
+    ])
+    def test_values_outside_double_range_rejected(self, params, sigma):
+        with pytest.raises(rl.ValidationError, match="values must all be"):
+            rl.generate_synthetic(params, rl.NoiseSpec(sigma=sigma, seed=3), n=20)
+
     def test_noise_spec_validation(self):
         with pytest.raises(rl.ValidationError):
             rl.NoiseSpec(sigma=-0.1)
