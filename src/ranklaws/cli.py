@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Subcommands parse through this too, so each reports an unknown flag under its own usage line.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 # Law flags of generate, in option order: flag -> (type, help). An unset flag stays None.
 _LAW_FLAGS = {

@@ -97,23 +97,6 @@ def _require_length(series: RankedSeries, minimum: int, what: str) -> None:
         raise InsufficientDataError(f"{what} needs at least {minimum} values, got {series.n}")
 
 
-def _log_sums(log_obs: np.ndarray, log_model: np.ndarray) -> tuple[np.ndarray, float, float]:
-    residuals = log_obs - log_model
-    sse = float(residuals @ residuals)
-    if np.all(log_obs == log_obs[0]):
-        sst = 0.0
-    else:
-        centered = log_obs - log_obs.mean()
-        sst = float(centered @ centered)
-    return residuals, sse, sst
-
-
-def _r2(sse: float, sst: float) -> float:
-    if sst == 0.0:
-        return 1.0 if sse <= 1e-20 else 0.0
-    return 1.0 - sse / sst
-
-
 def _evaluate(series: RankedSeries, params: models.ModelParams) -> tuple[np.ndarray, float, float]:
     """Residuals, SSE and R^2 of ``params`` against ``series``, all finite.
 
@@ -123,8 +106,14 @@ def _evaluate(series: RankedSeries, params: models.ModelParams) -> tuple[np.ndar
     not finite makes the SSE not finite.
     """
     with np.errstate(all="ignore"):
-        residuals, sse, sst = _log_sums(np.log(series.values), np.log(models.model_values(params, series.n)))
-        r_squared = _r2(sse, sst)
+        log_obs = np.log(series.values)
+        residuals = log_obs - np.log(models.model_values(params, series.n))
+        sse = float(residuals @ residuals)
+        if np.all(log_obs == log_obs[0]):  # constant series: no total sum of squares
+            r_squared = 1.0 if sse <= 1e-20 else 0.0
+        else:
+            centered = log_obs - log_obs.mean()
+            r_squared = 1.0 - sse / float(centered @ centered)
     if not (math.isfinite(sse) and math.isfinite(r_squared)):
         raise FitError(f"{type(params).model} fit is not finite in double precision (log_sse={sse!r})")
     return residuals, sse, r_squared
@@ -158,10 +147,9 @@ def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
     """Log-space R^2 of a parameter set against an observed series.
 
     Raises FitError when the law, its logarithm, the SSE or R^2 is not
-    finite in double precision.
+    finite in double precision, and ValidationError when ``fitted`` carries
+    another length than ``observed``.
     """
-    if models.law_length(fitted, observed.n) != observed.n:
-        raise ValidationError(f"fitted n={fitted.n} does not match series n={observed.n}")
     return _evaluate(observed, fitted)[2]
 
 
@@ -173,9 +161,12 @@ def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     columns = tuple(d * log_depletion - p * log_rank for d, p in law.exponents.values())
     coef, intercept = _centered_ols(columns, np.log(series.values))
     try:
-        values = {"k": math.exp(intercept), "n": series.n}
+        k = math.exp(intercept)
     except OverflowError:
-        raise FitError(f"{law.model} fit is not finite in double precision (log k={intercept!r})") from None
+        k = math.inf
+    if not 0.0 < k < math.inf:  # K overflows or underflows
+        raise FitError(f"{law.model} fit is not finite in double precision (log k={intercept!r})")
+    values = {"k": k, "n": series.n}
     # + 0.0 turns the -0.0 an exact-zero slope can come out as into 0.0.
     values.update((name, float(c) + 0.0) for name, c in zip(law.exponents, coef))
     return _finalize(series, law(**{field.name: values[field.name] for field in fields(law)}))
@@ -235,34 +226,28 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     return _finalize(series, params, warnings)
 
 
-def _fit(series: RankedSeries, law: type) -> FitReport:
-    if law is models.MandelbrotParams:
-        return fit_mandelbrot(series)
-    return _fit_log_linear(series, law)
-
-
 def fit_model(series: RankedSeries, tag: str) -> FitReport:
     """Fit one model selected by tag."""
     try:
         law = models.LAWS[tag]
     except KeyError:
         raise ValidationError(f"unknown model {tag!r}; expected one of {', '.join(models.MODEL_TAGS)}") from None
-    return _fit(series, law)
+    if law is models.MandelbrotParams:
+        return fit_mandelbrot(series)
+    return _fit_log_linear(series, law)
 
 
 def compare_models(series: RankedSeries) -> ComparisonReport:
     """Fit all four models and rank them by log-space R^2."""
     _require_length(series, max(map(_param_count, models.LAWS.values())) + 1, "model comparison")
     reports = []
-    for tag, law in models.LAWS.items():
+    for tag in models.MODEL_TAGS:
         try:
-            reports.append(_fit(series, law))
+            reports.append(fit_model(series, tag))
         except FitError as exc:
             raise type(exc)(f"{tag}: {exc}") from exc
     # min keeps the first of equal keys, so exact ties fall to catalog order.
     best = min(reports, key=lambda rep: (-rep.r_squared, _param_count(type(rep.params))))
-    beta = reports[models.MODEL_TAGS.index("beta-like")]
-    zipf = reports[models.MODEL_TAGS.index("zipf")]
-    lavalette = reports[models.MODEL_TAGS.index("lavalette")]
-    nesting_ok = beta.log_sse <= zipf.log_sse + 1e-9 and beta.log_sse <= lavalette.log_sse + 1e-9
+    sse = {rep.model: rep.log_sse for rep in reports}
+    nesting_ok = sse["beta-like"] <= sse["zipf"] + 1e-9 and sse["beta-like"] <= sse["lavalette"] + 1e-9
     return ComparisonReport(reports=tuple(reports), best_by_r2=best.model, nesting_ok=nesting_ok)

@@ -42,11 +42,11 @@ class RankedSeries:
         if values.ndim != 1:
             raise ValidationError(f"values must be one-dimensional, got shape {values.shape}")
         if values.size == 0:
-            raise ValidationError("series must contain at least one value")
+            raise ValidationError("values must not be empty")
         if not np.all(np.isfinite(values)):
-            raise ValidationError("series values must all be finite")
+            raise ValidationError("values must all be finite")
         if not np.all(values > 0):
-            raise ValidationError("series values must all be strictly positive")
+            raise ValidationError("values must all be strictly positive")
         if np.any(np.diff(values) > 0):
             raise ValidationError("series values must be non-increasing in rank")
         values = values.copy()
@@ -111,18 +111,12 @@ def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None 
     """Rank raw values by a stable descending sort.
 
     Equal values keep their input order and get distinct consecutive
-    ranks. All values must be finite and strictly positive; there is no
-    drop policy at this level.
+    ranks. RankedSeries checks that the values are finite and strictly
+    positive; there is no drop policy at this level.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"values must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError("cannot rank an empty value sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("values must all be finite")
-    if not np.all(arr > 0):
-        raise ValidationError("values must all be strictly positive")
     order = np.argsort(-arr, kind="stable")
     sorted_labels = None
     if labels is not None:

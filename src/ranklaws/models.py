@@ -152,11 +152,10 @@ def evaluate(params: ModelParams, r: int) -> float:
         n = r  # zipf puts power 0 on N+1-r, so any N >= r will do
     elif not 1 <= r <= n:
         raise ValidationError(f"rank {r} outside valid range 1..{n}")
-    try:
-        with np.errstate(all="ignore"):  # numpy scalar params warn and give inf or 0 instead of raising
-            value = _law_values(params, r, n)
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
+    # A one-element array takes model_values' ufunc loops, so the bits match
+    # it; a value out of double range comes out as 0, inf or nan.
+    with np.errstate(all="ignore"):
+        value = float(_law_values(params, np.array([r], dtype=np.float64), n)[0])
     if not 0.0 < value < math.inf:
         raise ValidationError(f"{params.model} value at rank {r} is outside the double range for {params!r}")
     return value

@@ -77,6 +77,26 @@ class TestExitCodes:
         assert code == 64
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, extra", [
+        (["generate", "--model", "zipf", "--k", "1", "--alpha", "1", "--n", "20", "--delimiter", ";"], "--delimiter ;"),
+        (["fit", "INPUT", "--model", "zipf", "--bogus"], "--bogus"),
+    ])
+    def test_unknown_flag_reported_under_subcommand_usage(self, capsys, plain_csv, argv, extra):
+        code = main([plain_csv if arg == "INPUT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: ranklaws {argv[0]} [-h] ")
+        assert captured.err.endswith(f"\nranklaws {argv[0]}: error: unrecognized arguments: {extra}\n")
+
+    def test_unknown_flag_before_subcommand_keeps_top_level_usage(self, capsys, plain_csv):
+        code = main(["--bogus", "fit", plain_csv, "--model", "zipf"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ranklaws [-h] {fit,")
+        assert captured.err.endswith("\nranklaws: error: unrecognized arguments: --bogus\n")
+
     def test_out_of_range_probability_is_usage_error(self, capsys):
         code = main(["simulate", "--p-new", "1.5", "--steps", "100"])
         captured = capsys.readouterr()
@@ -117,6 +137,21 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"ranklaws: fit error: {prefix}zipf fit is not finite")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, prefix, text", [
+        (["fit", "--model", "beta-like"], "", "1.7976931348623157e308\n" * 3 + "1e300\n" * 2 + "1\n1e-300\n"),
+        (["fit", "--model", "beta-like"], "", "1e100\n1\n1\n1\n1e-307\n"),
+        (["compare"], "beta-like: ", "1e100\n1\n1\n1\n1e-307\n"),
+    ])
+    def test_underflowing_k_is_fit_error(self, capsys, tmp_path, command, prefix, text):
+        path = tmp_path / "under.csv"
+        path.write_text(text)
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"ranklaws: fit error: {prefix}beta-like fit is not finite in double precision (log k=-")
         assert captured.err.count("\n") == 1
 
     def test_quiet_silences_diagnostics(self, capsys, tmp_path):

@@ -178,6 +178,19 @@ class TestReportInvariants:
         with pytest.raises(rl.FitError, match=r"^zipf: zipf fit is not finite"):
             rl.compare_models(series)
 
+    @pytest.mark.parametrize("values, compare_error", [
+        # beta-like log k = -1684; compare stops earlier, at zipf's overflowing K
+        ([1.7976931348623157e308] * 3 + [1e300] * 2 + [1.0, 1e-300], r"^zipf: zipf fit is not finite .*\(log k=\d"),
+        # beta-like log k = -966; the other three laws fit
+        ([1e100, 1.0, 1.0, 1.0, 1e-307], r"^beta-like: beta-like fit is not finite .*\(log k=-\d"),
+    ])
+    def test_underflowing_k_is_fit_error(self, values, compare_error):
+        series = rl.rank_raw(values)
+        with pytest.raises(rl.FitError, match=r"^beta-like fit is not finite in double precision \(log k=-\d"):
+            rl.fit_beta_like(series)
+        with pytest.raises(rl.FitError, match=compare_error):
+            rl.compare_models(series)
+
     def test_fit_model_dispatch(self):
         series = rl.curve(rl.ZipfParams(k=2, alpha=1.0), n=10)
         assert rl.fit_model(series, "zipf").params == rl.fit_zipf(series).params

@@ -87,6 +87,15 @@ class TestRankRaw:
         with pytest.raises(rl.ValidationError, match="positive"):
             rl.rank_raw([3.0, 0.0])
 
+    @pytest.mark.parametrize("values", [[], [math.nan], [math.inf, 1.0], [2.0, 0.0], [2.0, -1.0]])
+    def test_rejects_with_the_series_text(self, values):
+        # RankedSeries owns the series checks, so rank_raw fails with its exact text.
+        with pytest.raises(rl.ValidationError) as by_series:
+            rl.RankedSeries(np.array(values, dtype=float))
+        with pytest.raises(rl.ValidationError) as by_rank_raw:
+            rl.rank_raw(values)
+        assert str(by_rank_raw.value) == str(by_series.value)
+
     @given(st.lists(positive_floats, min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_output_satisfies_series_invariants(self, values):

@@ -93,12 +93,24 @@ class TestCurve:
             rl.curve(rl.ZipfParams(k=1, alpha=-1), n=5)
 
     def test_matches_evaluate_pointwise(self):
-        # Tabulation is vectorized, evaluate is scalar; the two pow
-        # implementations may differ in the last couple of ulps.
-        params = rl.BetaLikeParams(k=0.5, a=0.7, b=1.2, n=25)
-        series = rl.curve(params)
-        for rank, value, _ in series.entries():
-            assert ulp_diff(value, rl.evaluate(params, rank)) <= 4
+        # evaluate and model_values share one float64 path: the same bits
+        # wherever the value is a positive double, an error everywhere else.
+        cases = [
+            (rl.BetaLikeParams(k=0.5, a=0.7, b=1.2, n=25), set()),
+            (rl.ZipfParams(k=1, alpha=400), set(range(6, 26))),  # r^400 overflows, so f is 0
+            (rl.ZipfParams(k=1, alpha=-400), set(range(6, 26))),  # f overflows
+            (rl.MandelbrotParams(rho=-0.999, epsilon=300, n=20), {1, 2}),  # f overflows at the head
+        ]
+        for params, outside in cases:
+            with np.errstate(all="ignore"):
+                table = rl.model_values(params, rl.models.law_length(params, 25)).tolist()
+            assert {rank for rank, value in enumerate(table, 1) if not 0.0 < value < math.inf} == outside
+            for rank, value in enumerate(table, 1):
+                if rank in outside:
+                    with pytest.raises(rl.ValidationError, match=f"^{params.model} value at rank {rank} "):
+                        rl.evaluate(params, rank)
+                else:
+                    assert rl.evaluate(params, rank) == value
 
 
 class TestNestingIdentities:
