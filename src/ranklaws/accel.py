@@ -55,14 +55,10 @@ def mandelbrot_profile(log_values: np.ndarray, rho: float) -> tuple[float, float
     """Best no-intercept slope and its SSE for the shifted-rank regressor.
 
     Regresses log_values on x_r = log(n+rho) - log(r+rho) without an
-    intercept and returns (slope, sse). A flat regressor (only possible
-    at n = 1) gets slope 0 and the raw sum of squares.
+    intercept and returns (slope, sse).
     """
     n = log_values.shape[0]
     x = math.log(n + rho) - np.log(np.arange(1.0, n + 1.0) + rho)
-    sxx = float(np.dot(x, x))
-    if sxx == 0.0:
-        return 0.0, float(np.dot(log_values, log_values))
-    slope = float(np.dot(x, log_values)) / sxx
+    slope = float(np.dot(x, log_values)) / float(np.dot(x, x))
     resid = log_values - slope * x
     return slope, float(np.dot(resid, resid))

@@ -10,9 +10,10 @@ since the TSV has no place for them. JSON reports serialize with sorted
 keys, two-space indent and LF line endings so identical inputs give
 byte-identical files.
 
-Exit codes: 0 success, 1 unreadable or invalid input data, 2 fit
-failure, 64 bad flags or flag-supplied parameters (generate values
-outside double range too). Nothing is written to stdout on a nonzero exit.
+Exit codes: 0 success, 1 unreadable or invalid input data or a size
+that cannot be allocated, 2 fit failure, 64 bad flags or flag-supplied
+parameters (generate values outside double range and lengths past 2**53
+too). Nothing is written to stdout on a nonzero exit.
 """
 
 from __future__ import annotations
@@ -305,7 +306,8 @@ def _cmd_plotdata(args) -> int:
 
 
 # Exit code and message prefix per exception class; a class not listed takes its nearest listed base's.
-_EXITS = {_FlagError: (64, "error"), ValidationError: (1, "error"), FitError: (2, "fit error"), OSError: (1, "error")}
+_EXITS = {_FlagError: (64, "error"), ValidationError: (1, "error"), FitError: (2, "fit error"), OSError: (1, "error"),
+          MemoryError: (1, "error")}
 
 
 def main(argv: list[str] | None = None) -> int:

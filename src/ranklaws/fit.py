@@ -97,8 +97,8 @@ def _require_length(series: RankedSeries, minimum: int, what: str) -> None:
         raise InsufficientDataError(f"{what} needs at least {minimum} values, got {series.n}")
 
 
-def _evaluate(series: RankedSeries, params: models.ModelParams) -> tuple[np.ndarray, float, float]:
-    """Residuals, SSE and R^2 of ``params`` against ``series``, all finite.
+def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
+    """Score ``params`` against ``series``: residuals, SSE and R^2, all finite.
 
     Exponents fitted to a series spanning hundreds of decades can make the
     tabulated law overflow or underflow; that is raised as a FitError
@@ -116,11 +116,6 @@ def _evaluate(series: RankedSeries, params: models.ModelParams) -> tuple[np.ndar
             r_squared = 1.0 - sse / float(centered @ centered)
     if not (math.isfinite(sse) and math.isfinite(r_squared)):
         raise FitError(f"{type(params).model} fit is not finite in double precision (log_sse={sse!r})")
-    return residuals, sse, r_squared
-
-
-def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
-    residuals, sse, r_squared = _evaluate(series, params)
     return FitReport(
         model=type(params).model,
         params=params,
@@ -150,7 +145,7 @@ def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
     finite in double precision, and ValidationError when ``fitted`` carries
     another length than ``observed``.
     """
-    return _evaluate(observed, fitted)[2]
+    return _finalize(observed, fitted).r_squared
 
 
 def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:

@@ -56,24 +56,23 @@ class SimonConfig:
             raise ValidationError(f"p_new must lie strictly inside (0, 1), got {self.p_new!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValidationError(f"steps must be a positive integer, got {self.steps!r}")
+        if self.steps > 2**53:  # past it the item indices that scale each pick stop being exact doubles
+            raise ValidationError(f"steps must be at most 2**53, got {self.steps}")
         _check_seed(self.seed)
 
 
 def generate_synthetic(params: models.ModelParams, noise: NoiseSpec, n: int | None = None) -> RankedSeries:
     """Tabulate a model, perturb it, and re-rank.
 
-    ``n`` is required for zipf parameters (they carry no length) and must
-    match ``params.n`` for the rest. With sigma = 0 the output equals
-    curve(params) exactly. Noise can break monotonicity, so the perturbed
-    values are re-sorted descending and re-ranked. Values that leave double
-    range raise ValidationError.
+    ``n`` follows :func:`ranklaws.models.model_values`. With sigma = 0 the
+    output equals curve(params) exactly. Noise can break monotonicity, so
+    the perturbed values are re-sorted descending and re-ranked. Values
+    that leave double range raise ValidationError.
     """
-    n = models.law_length(params) if n is None else n
-    if n is None:
-        raise ValidationError("zipf generation needs an explicit length n")
     rng = np.random.default_rng(noise.seed)
     with np.errstate(all="ignore"):  # an overflow or underflow gives inf or 0, which rank_raw rejects
-        values = models.model_values(params, n) * np.exp(rng.normal(0.0, noise.sigma, size=n))
+        values = models.model_values(params, n)
+        values *= np.exp(rng.normal(0.0, noise.sigma, size=values.size))
     return rank_raw(values)
 
 

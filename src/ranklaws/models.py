@@ -120,6 +120,12 @@ LAWS = {law.model: law for law in (ZipfParams, MandelbrotParams, LavaletteParams
 MODEL_TAGS = tuple(LAWS)
 
 
+def _check_exact(n: int) -> None:
+    """Reject a length or rank past 2**53, where integers stop being exact doubles."""
+    if n > 2**53:
+        raise ValidationError(f"ranks and lengths must be at most 2**53, got {n}")
+
+
 def law_length(params: ModelParams, default: int | None = None) -> int | None:
     """The series length ``params`` carry; zipf carries none and gets ``default``."""
     return default if isinstance(params, ZipfParams) else params.n
@@ -139,7 +145,7 @@ def evaluate(params: ModelParams, r: int) -> float:
 
     The laws are defined only on the rank lattice: 1 <= r <= n for the
     n-bearing models, r >= 1 for zipf. Raises ValidationError outside that
-    range. The result is always finite and strictly positive; where it would
+    range, and for a rank or params n past 2**53. The result is always finite and strictly positive; where it would
     leave double range, ValidationError names the law and the rank.
     """
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
@@ -152,6 +158,7 @@ def evaluate(params: ModelParams, r: int) -> float:
         n = r  # zipf puts power 0 on N+1-r, so any N >= r will do
     elif not 1 <= r <= n:
         raise ValidationError(f"rank {r} outside valid range 1..{n}")
+    _check_exact(n)
     # A one-element array takes model_values' ufunc loops, so the bits match
     # it; a value out of double range comes out as 0, inf or nan.
     with np.errstate(all="ignore"):
@@ -161,15 +168,20 @@ def evaluate(params: ModelParams, r: int) -> float:
     return value
 
 
-def model_values(params: ModelParams, n: int) -> np.ndarray:
+def model_values(params: ModelParams, n: int | None = None) -> np.ndarray:
     """Tabulate the law over ranks 1..n as a float64 array.
 
-    Unlike :func:`curve` this applies no monotonicity check, so it also
-    serves fitted parameter sets whose exponents fall outside the
-    decreasing regime.
+    ``n`` defaults to ``params.n``; zipf carries no length, so it must be
+    given, and for the other laws it must match ``params.n``. Unlike
+    :func:`curve` this applies no monotonicity check, so it also serves
+    fitted parameter sets whose exponents fall outside the decreasing
+    regime.
     """
+    if n is None and (n := law_length(params)) is None:
+        raise ValidationError("zipf needs an explicit length n")
     if n < 1:
         raise ValidationError(f"series length must be >= 1, got {n}")
+    _check_exact(n)
     if law_length(params, n) != n:
         raise ValidationError(f"requested length {n} does not match params n={params.n}")
     return _law_values(params, np.arange(1, n + 1, dtype=np.float64), n)
@@ -178,15 +190,17 @@ def model_values(params: ModelParams, n: int) -> np.ndarray:
 def curve(params: ModelParams, n: int | None = None) -> RankedSeries:
     """Tabulate the law over ranks 1..n as a RankedSeries.
 
-    ``n`` is required for zipf (its parameters carry no length) and must
-    match ``params.n`` for the other models when given. Parameter sets
-    whose tabulated values increase anywhere (e.g. a negative zipf alpha)
-    cannot form a RankedSeries and raise ValidationError.
+    ``n`` follows :func:`model_values`. A value outside double range
+    raises :func:`evaluate`'s ValidationError at the first such rank.
+    Parameter sets whose tabulated values increase anywhere (e.g. a
+    negative zipf alpha) cannot form a RankedSeries and raise
+    ValidationError too.
     """
-    n = law_length(params) if n is None else n
-    if n is None:
-        raise ValidationError("zipf curve needs an explicit length n")
-    values = model_values(params, n)
+    with np.errstate(all="ignore"):
+        values = model_values(params, n)
+    outside = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+    if outside.size:
+        evaluate(params, int(outside[0]) + 1)  # same bits as model_values, so this raises
     try:
         return RankedSeries(values)
     except ValidationError as exc:

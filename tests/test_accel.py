@@ -89,10 +89,3 @@ class TestMandelbrotProfileParity:
         log_values = np.log(np.array([1.7e308, 1.0, 5e-324]))
         slope, sse = accel.mandelbrot_profile(log_values, rho)
         assert np.isfinite(slope) and np.isfinite(sse)
-
-    def test_degenerate_regressor_guard(self):
-        # n = 1 gives a single x that is exactly zero; the profile must not
-        # divide by a zero sum of squares.
-        slope, sse = accel.mandelbrot_profile(np.array([0.7]), 2.0)
-        assert slope == 0.0
-        assert sse == pytest.approx(0.49)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +179,37 @@ class TestExitCodes:
             assert captured.err.startswith("ranklaws: error: ")
             assert captured.err.count("\n") == 1
             assert "x.json" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--model", "zipf", "--k", "1", "--alpha", "1", "--n", str(10**23)],
+         f"ranks and lengths must be at most 2**53, got {10**23}"),
+        (["generate", "--model", "beta-like", "--k", "1", "--a", "1", "--b", "1", "--n", str(2**53 + 1)],
+         f"ranks and lengths must be at most 2**53, got {2**53 + 1}"),
+        (["simulate", "--p-new", "0.1", "--steps", str(10**20)], f"steps must be at most 2**53, got {10**20}"),
+    ], ids=["zipf-n-10**23", "beta-like-n-2**53+1", "steps-10**20"])
+    def test_size_past_exact_doubles_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ranklaws: error: {message}\n"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("generate_synthetic", ["generate", "--model", "zipf", "--k", "1", "--alpha", "1", "--n", str(10**15)]),
+        ("simulate_simon", ["simulate", "--p-new", "0.1", "--steps", str(10**15)]),
+    ], ids=["generate", "simulate"])
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_unallocatable_size_is_exit_1(self, capsys, monkeypatch, name, argv, quiet):
+        # A size within 2**53 that still cannot be allocated; the refusal is
+        # simulated, so the test never asks for the memory.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)")
+
+        monkeypatch.setattr(cli, name, refuse)
+        assert main([*argv, *["--quiet"] * quiet]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("" if quiet else "ranklaws: error: Unable to allocate 7.11 PiB for an array "
+                                                 "with shape (1000000000000000,)\n")
 
     @pytest.mark.parametrize("flag", [["--delimiter", ";"], ["--zero-policy", "reject"], ["--pre-ranked"]])
     @pytest.mark.parametrize("command", [["generate", "--model", "zipf", "--n", "3", "--k", "1", "--alpha", "1"],
@@ -577,3 +613,90 @@ class TestReportEncoding:
         assert json.loads(capsys.readouterr().out)["fit"]["n"] == 200
         assert main(["compare", FIXTURE, "--quiet"]) == 0
         assert json.loads(capsys.readouterr().out)["comparison"]["nesting_ok"] is True
+
+
+def _finite_positive(values) -> list[float]:
+    """``values`` clipped into the positive doubles, so every one is a valid input cell."""
+    return np.clip(values, 5e-324, sys.float_info.max).tolist()
+
+
+def _lognormal(s: float, seed: int, n: int) -> list[float]:
+    with np.errstate(all="ignore"):  # exp(N(0, 200)) overflows and underflows
+        return _finite_positive(np.exp(np.random.default_rng(seed).normal(0.0, s, n)))
+
+
+_magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_picks = st.sampled_from([5e-324, 1.0, 2.0, sys.float_info.max])
+_fuzz_series = st.one_of(
+    st.lists(_magnitudes, min_size=1, max_size=39),
+    st.builds(_lognormal, st.floats(0.0, 200.0), st.integers(0, 2**32 - 1), st.integers(1, 39)),
+    st.builds(lambda v, n: [v] * n, st.one_of(_magnitudes, _picks), st.integers(1, 39)),
+    st.lists(_picks, min_size=1, max_size=39),
+)
+_fuzz_commands = st.one_of(
+    st.sampled_from(rl.MODEL_TAGS).map(lambda m: ["fit", "--model", m]),
+    st.just(["compare"]),
+    st.sampled_from(rl.MODEL_TAGS).map(lambda m: ["plotdata", "--model", m]),
+)
+# Sizes numpy allocates at once, or past 2**53, which must be refused before any allocation.
+_sizes = st.one_of(st.integers(-3, 10**4), st.integers(2**53 + 1, 10**30))
+_flag_floats = st.one_of(st.floats(), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def _source_flags(draw):
+    if draw(st.booleans()):
+        law = rl.models.LAWS[draw(st.sampled_from(rl.MODEL_TAGS))]
+        names = [f.name for f in dataclasses.fields(law) if f.name != "n"]
+        flags = [f"--{name}={draw(_flag_floats)!r}" for name in names]
+        return ["generate", "--model", law.model, f"--n={draw(_sizes)}", *flags,
+                f"--sigma={draw(st.floats(0.0, 5.0) | st.floats())!r}", f"--seed={draw(st.integers(-3, 2**65))}"]
+    return ["simulate", f"--p-new={draw(st.floats(0.0, 1.0) | st.floats())!r}", f"--steps={draw(_sizes)}",
+            f"--seed={draw(st.integers(-3, 2**65))}"]
+
+
+def _no_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def _run(argv) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestFuzzGate:
+    """Seeded CLI fuzz: every run either reports finite numbers or fails with one clean line."""
+
+    @given(values=_fuzz_series, command=_fuzz_commands, to_file=st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fit_commands_report_or_fail_cleanly(self, values, command, to_file):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "series.csv", Path(tmp) / "out"
+            path.write_text("".join(f"{v!r}\n" for v in values))
+            code, stdout, stderr = _run([command[0], str(path), *command[1:], *["--output", str(out)] * to_file])
+            if code == 2:
+                assert stdout == ""
+                assert not out.exists()
+                assert stderr.startswith("ranklaws: fit error: ") and stderr.count("\n") == 1
+                return
+            assert code == 0, stderr
+            payload = out.read_text() if to_file else stdout
+        if command[0] == "plotdata":
+            header, *rows = payload.splitlines()
+            assert header == "rank\tobserved\tfitted\tlog_residual" and len(rows) == len(values)
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split("\t"))
+        else:
+            json.loads(payload, parse_constant=_no_constant)
+
+    @given(argv=_source_flags())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_source_commands_succeed_or_reject_flags(self, argv):
+        code, stdout, stderr = _run(argv)
+        if code == 64:
+            assert stdout == ""
+            assert stderr.startswith("ranklaws: error: ") and stderr.count("\n") == 1
+            return
+        assert code == 0, stderr
+        assert all(0.0 < float(line) < math.inf for line in stdout.splitlines())

@@ -334,3 +334,5 @@ class TestCompareModels:
     def test_reports_in_catalog_order(self):
         comp = rl.compare_models(rl.RankedSeries(np.array([4.0, 3.0, 2.0, 1.0])))
         assert tuple(rep.model for rep in comp.reports) == rl.MODEL_TAGS
+        with pytest.raises(KeyError):
+            comp.report("weibull")

@@ -72,6 +72,8 @@ class TestGenerateSynthetic:
             rl.NoiseSpec(seed=-1)
         with pytest.raises(rl.ValidationError):
             rl.NoiseSpec(seed=2**64)
+        with pytest.raises(rl.ValidationError, match="seed must be an integer"):
+            rl.NoiseSpec(seed=1.5)
         rl.NoiseSpec(sigma=0.0, seed=2**64 - 1)
 
 
@@ -133,3 +135,12 @@ class TestSimulateSimon:
             rl.SimonConfig(p_new=0.5, steps=0)
         with pytest.raises(rl.ValidationError):
             rl.SimonConfig(p_new=0.5, steps=10, seed=-3)
+        with pytest.raises(rl.ValidationError, match="seed must be an integer"):
+            rl.SimonConfig(p_new=0.5, steps=3, seed=True)
+
+    @pytest.mark.parametrize("steps", [2**53 + 1, 10**20])
+    def test_steps_past_exact_doubles_rejected(self, steps):
+        # The kernel scales each pick by its item index, a double.
+        with pytest.raises(rl.ValidationError) as info:
+            rl.SimonConfig(p_new=0.5, steps=steps)
+        assert str(info.value) == f"steps must be at most 2**53, got {steps}"

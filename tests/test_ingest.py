@@ -87,7 +87,9 @@ class TestRankRaw:
         with pytest.raises(rl.ValidationError, match="positive"):
             rl.rank_raw([3.0, 0.0])
 
-    @pytest.mark.parametrize("values", [[], [math.nan], [math.inf, 1.0], [2.0, 0.0], [2.0, -1.0]])
+    @pytest.mark.parametrize(
+        "values", [[], [math.nan], [math.inf, 1.0], [2.0, 0.0], [2.0, -1.0], [[1.0, 1.0], [1.0, 1.0]]]
+    )
     def test_rejects_with_the_series_text(self, values):
         # RankedSeries owns the series checks, so rank_raw fails with its exact text.
         with pytest.raises(rl.ValidationError) as by_series:
@@ -95,6 +97,11 @@ class TestRankRaw:
         with pytest.raises(rl.ValidationError) as by_rank_raw:
             rl.rank_raw(values)
         assert str(by_rank_raw.value) == str(by_series.value)
+
+    def test_label_count_must_match(self):
+        with pytest.raises(rl.ValidationError) as info:
+            rl.rank_raw([2.0, 1.0], labels=["a"])
+        assert str(info.value) == "got 1 labels for 2 values"
 
     @given(st.lists(positive_floats, min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)

@@ -37,6 +37,24 @@ class TestEvaluate:
         with pytest.raises(rl.ValidationError, match="1..100"):
             rl.evaluate(params, rank)
 
+    @pytest.mark.parametrize(
+        "params, rank",
+        [
+            (rl.ZipfParams(k=1, alpha=1), 2**53 + 1),
+            (rl.ZipfParams(k=1, alpha=1), 2**1100),  # past float conversion
+            (rl.MandelbrotParams(rho=0, epsilon=0, n=10**400), 5),
+            (rl.LavaletteParams(k=1, b=1, n=2**53 + 1), 1),
+        ],
+        ids=["zipf-rank-2**53+1", "zipf-rank-2**1100", "mandelbrot-n-10**400", "lavalette-n-2**53+1"],
+    )
+    def test_ranks_and_lengths_past_exact_doubles_rejected(self, params, rank):
+        # Past 2**53 not every integer is a double, so ranks and N+1-r would round.
+        with pytest.raises(rl.ValidationError, match=r"^ranks and lengths must be at most 2\*\*53, got "):
+            rl.evaluate(params, rank)
+
+    def test_largest_exact_rank_accepted(self):
+        assert rl.evaluate(rl.ZipfParams(k=1, alpha=1), 2**53) == 2.0**-53
+
     def test_zipf_rank_must_be_positive(self):
         with pytest.raises(rl.ValidationError, match="r >= 1"):
             rl.evaluate(rl.ZipfParams(k=1, alpha=1), 0)
@@ -80,6 +98,34 @@ class TestCurve:
         with pytest.raises(rl.ValidationError, match="explicit length"):
             rl.curve(rl.ZipfParams(k=1, alpha=1))
 
+    def test_length_defaults_to_params_n(self):
+        params = rl.LavaletteParams(k=1, b=1, n=3)
+        assert rl.model_values(params).tolist() == rl.model_values(params, 3).tolist() == [3.0, 1.0, 1 / 3]
+
+    @pytest.mark.parametrize("tabulate", [
+        rl.model_values,
+        rl.curve,
+        lambda params: rl.generate_synthetic(params, rl.NoiseSpec()),
+    ], ids=["model_values", "curve", "generate_synthetic"])
+    def test_zipf_length_rule_has_one_text(self, tabulate):
+        with pytest.raises(rl.ValidationError) as info:
+            tabulate(rl.ZipfParams(k=1, alpha=1))
+        assert str(info.value) == "zipf needs an explicit length n"
+
+    @pytest.mark.parametrize("params, n", [
+        (rl.ZipfParams(k=1, alpha=1), 2**53 + 1),
+        (rl.ZipfParams(k=1, alpha=1), 10**23),
+        (rl.BetaLikeParams(k=1, a=1, b=1, n=10**23), None),
+        (rl.MandelbrotParams(rho=0, epsilon=0, n=10**400), None),
+    ], ids=["zipf-2**53+1", "zipf-10**23", "beta-like-10**23", "mandelbrot-10**400"])
+    def test_length_past_exact_doubles_rejected(self, params, n):
+        # Rejected before numpy is asked for the array.
+        for tabulate in (rl.model_values, rl.curve):
+            with pytest.raises(rl.ValidationError, match=r"^ranks and lengths must be at most 2\*\*53, got "):
+                tabulate(params, n)
+        with pytest.raises(rl.ValidationError, match=r"^ranks and lengths must be at most 2\*\*53, got "):
+            rl.generate_synthetic(params, rl.NoiseSpec(), n=n)
+
     def test_zero_length_rejected(self):
         with pytest.raises(rl.ValidationError):
             rl.curve(rl.ZipfParams(k=1, alpha=1), n=0)
@@ -91,6 +137,18 @@ class TestCurve:
     def test_increasing_params_cannot_form_series(self):
         with pytest.raises(rl.ValidationError, match="non-increasing"):
             rl.curve(rl.ZipfParams(k=1, alpha=-1), n=5)
+
+    @pytest.mark.parametrize("params, rank", [
+        (rl.ZipfParams(k=1, alpha=-400), 6),
+        (rl.ZipfParams(k=1, alpha=400), 6),
+        (rl.MandelbrotParams(rho=-0.999, epsilon=300, n=20), 1),
+    ])
+    def test_values_outside_double_range_rejected(self, params, rank):
+        # The first rank that leaves double range is named, with evaluate's
+        # text; no numpy warning escapes.
+        with pytest.raises(rl.ValidationError) as info:
+            rl.curve(params, n=20)
+        assert str(info.value) == f"{params.model} value at rank {rank} is outside the double range for {params!r}"
 
     def test_matches_evaluate_pointwise(self):
         # evaluate and model_values share one float64 path: the same bits
