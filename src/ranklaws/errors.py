@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their texts show a number."""
 
 
 class RankLawsError(Exception):
@@ -29,3 +29,15 @@ class FitError(RankLawsError):
 
 class InsufficientDataError(FitError):
     """The series is shorter than the model's minimum length."""
+
+
+def shown(value, text=str) -> str:
+    """``text(value)`` for an error text or repr, or an int's size where that fails.
+
+    Python refuses to write an int of more than 4300 digits in decimal (see
+    sys.set_int_max_str_digits); such an int is shown by its bit length.
+    """
+    try:
+        return text(value)
+    except ValueError:
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"

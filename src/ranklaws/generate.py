@@ -13,17 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel, models
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .ingest import RankedSeries, rank_raw
 
 _SEED_MAX = 2**64
+# New-source uniforms drawn per call by simulate_simon.
+_DRAW_CHUNK = 1 << 16
 
 
 def _check_seed(seed: int) -> None:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < _SEED_MAX:
-        raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise ValidationError(f"seed must fit in 64 unsigned bits, got {shown(seed)}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,9 @@ class SimonConfig:
         if not (isinstance(self.p_new, (int, float)) and 0.0 < self.p_new < 1.0):
             raise ValidationError(f"p_new must lie strictly inside (0, 1), got {self.p_new!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
-            raise ValidationError(f"steps must be a positive integer, got {self.steps!r}")
+            raise ValidationError(f"steps must be a positive integer, got {shown(self.steps, repr)}")
         if self.steps > 2**53:  # past it the item indices that scale each pick stop being exact doubles
-            raise ValidationError(f"steps must be at most 2**53, got {self.steps}")
+            raise ValidationError(f"steps must be at most 2**53, got {shown(self.steps)}")
         _check_seed(self.seed)
 
 
@@ -83,12 +85,19 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     one-item source with probability p_new, otherwise awards the item to
     the owner of a uniformly chosen past item, i.e. to an existing source
     with probability proportional to its count. All uniforms are drawn up
-    front, so ``accel.simon_owners`` resolves every owner with array
-    operations and no RNG calls.
+    front, every new-source uniform before every pick uniform, so
+    ``accel.simon_owners`` resolves every owner with array operations and
+    no RNG calls. The steps-long arrays are the new-source flags (1 byte
+    per step), the pick uniforms (8) and the kernel's owners (8); the
+    new-source uniforms are drawn a chunk at a time into one small buffer.
     """
     rng = np.random.default_rng(config.seed)
-    u_new = rng.random(config.steps - 1)
+    is_new = np.empty(config.steps - 1, dtype=bool)
+    buf = np.empty(min(_DRAW_CHUNK, is_new.size))
+    for lo in range(0, is_new.size, _DRAW_CHUNK):
+        u_new = rng.random(out=buf[: is_new.size - lo])
+        np.less(u_new, float(config.p_new), out=is_new[lo : lo + u_new.size])
     u_pick = rng.random(config.steps - 1)
-    owners = accel.simon_owners(u_new, u_pick, float(config.p_new))
+    owners = accel.simon_owners(is_new, u_pick)
     counts = np.bincount(owners)
     return rank_raw(counts.astype(np.float64))

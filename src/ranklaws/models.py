@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .ingest import RankedSeries
 
 # Field name -> (check, rule text); any other field must just be finite.
@@ -52,11 +52,20 @@ class _Law:
         for field in fields(self):
             check, rule = _FIELD_RULES.get(field.name, _FINITE)
             value = getattr(self, field.name)
-            if not check(value):
-                raise ValidationError(f"{field.name} must be {rule}, got {value}")
+            try:
+                ok = check(value)
+            except OverflowError:  # an int past the double range
+                ok = False
+            if not ok:
+                raise ValidationError(f"{field.name} must be {rule}, got {shown(value)}")
+
+    def __repr__(self) -> str:
+        # The dataclass repr, but shown() keeps a huge int from raising.
+        text = ", ".join(f"{field.name}={shown(getattr(self, field.name), repr)}" for field in fields(self))
+        return f"{type(self).__qualname__}({text})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ZipfParams(_Law):
     """Power law K / r^alpha; defined for every rank r >= 1."""
 
@@ -67,7 +76,7 @@ class ZipfParams(_Law):
     exponents: ClassVar[dict[str, tuple[int, int]]] = {"alpha": (0, 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MandelbrotParams(_Law):
     """Offset power law ((N + rho) / (r + rho))^(1 + epsilon).
 
@@ -82,7 +91,7 @@ class MandelbrotParams(_Law):
     model: ClassVar[str] = "mandelbrot"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LavaletteParams(_Law):
     """One-exponent law K ((N + 1 - r) / r)^b with a depleting numerator."""
 
@@ -94,7 +103,7 @@ class LavaletteParams(_Law):
     exponents: ClassVar[dict[str, tuple[int, int]]] = {"b": (1, 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BetaLikeParams(_Law):
     """Two-exponent law K (N + 1 - r)^b / r^a.
 
@@ -123,7 +132,7 @@ MODEL_TAGS = tuple(LAWS)
 def _check_exact(n: int) -> None:
     """Reject a length or rank past 2**53, where integers stop being exact doubles."""
     if n > 2**53:
-        raise ValidationError(f"ranks and lengths must be at most 2**53, got {n}")
+        raise ValidationError(f"ranks and lengths must be at most 2**53, got {shown(n)}")
 
 
 def law_length(params: ModelParams, default: int | None = None) -> int | None:
@@ -154,10 +163,10 @@ def evaluate(params: ModelParams, r: int) -> float:
     n = law_length(params)
     if n is None:
         if r < 1:
-            raise ValidationError(f"rank {r} outside valid range r >= 1")
+            raise ValidationError(f"rank {shown(r)} outside valid range r >= 1")
         n = r  # zipf puts power 0 on N+1-r, so any N >= r will do
     elif not 1 <= r <= n:
-        raise ValidationError(f"rank {r} outside valid range 1..{n}")
+        raise ValidationError(f"rank {shown(r)} outside valid range 1..{shown(n)}")
     _check_exact(n)
     # A one-element array takes model_values' ufunc loops, so the bits match
     # it; a value out of double range comes out as 0, inf or nan.
@@ -180,10 +189,10 @@ def model_values(params: ModelParams, n: int | None = None) -> np.ndarray:
     if n is None and (n := law_length(params)) is None:
         raise ValidationError("zipf needs an explicit length n")
     if n < 1:
-        raise ValidationError(f"series length must be >= 1, got {n}")
+        raise ValidationError(f"series length must be >= 1, got {shown(n)}")
     _check_exact(n)
     if law_length(params, n) != n:
-        raise ValidationError(f"requested length {n} does not match params n={params.n}")
+        raise ValidationError(f"requested length {shown(n)} does not match params n={shown(params.n)}")
     return _law_values(params, np.arange(1, n + 1, dtype=np.float64), n)
 
 

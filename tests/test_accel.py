@@ -29,27 +29,35 @@ def reference_simon_owners(u_new, u_pick, p_new):
     return owners
 
 
+BLOCK = accel._BLOCK
+
+
 class TestSimonParity:
     def test_numpy_and_loop_agree(self):
+        # The loop's owners of the first steps items depend only on the
+        # first steps - 1 variates, so one run of it serves every prefix.
+        # The sizes put the last item just before, on and just after the
+        # kernel's block edges.
         rng = np.random.default_rng(0)
-        for steps in (1, 2, 3, 17, 1000, 100_000):
-            u_new, u_pick = random_kernel_inputs(rng, steps)
-            for p_new in (0.05, 0.5, 0.95):
-                a = accel.simon_owners(u_new, u_pick, p_new)
-                b = reference_simon_owners(u_new, u_pick, p_new)
+        sizes = (1, 2, 3, 17, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 100_000, 2 * BLOCK + 1)
+        u_new, u_pick = random_kernel_inputs(rng, max(sizes))
+        for p_new in (0.05, 0.5, 0.95):
+            expected = reference_simon_owners(u_new, u_pick, p_new)
+            for steps in sizes:
+                a = accel.simon_owners(u_new[: steps - 1] < p_new, u_pick[: steps - 1])
                 assert a.dtype == np.int64
-                assert np.array_equal(a, b)
+                assert np.array_equal(a, expected[:steps])
 
     def test_pick_index_clamped_at_upper_edge(self):
         # u_pick of exactly 1.0 would index one past the known slots without
         # the clamp.
         u_new = np.array([0.99, 0.99])
         u_pick = np.array([1.0, 1.0])
-        owners = accel.simon_owners(u_new, u_pick, 0.5)
+        owners = accel.simon_owners(u_new < 0.5, u_pick)
         assert owners.tolist() == [0, 0, 0]
         # Item 3 must copy item 2 (source 0); pointing at itself instead
         # would make it a root and give it the newest source, 1.
-        owners = accel.simon_owners(np.array([0.1, 0.9, 0.9]), np.array([0.0, 0.0, 1.0]), 0.5)
+        owners = accel.simon_owners(np.array([0.1, 0.9, 0.9]) < 0.5, np.array([0.0, 0.0, 1.0]))
         assert owners.tolist() == [0, 1, 0, 0]
 
     def test_deepest_forest_resolves_to_first_source(self):
@@ -62,9 +70,25 @@ class TestSimonParity:
         u_new[0] = 0.1
         u_pick = np.ones(steps - 1)
         u_pick[1] = 0.0
-        owners = accel.simon_owners(u_new, u_pick, 0.5)
+        owners = accel.simon_owners(u_new < 0.5, u_pick)
         expected = np.zeros(steps, dtype=np.int64)
         expected[1] = 1
+        assert np.array_equal(owners, expected)
+
+    def test_chain_across_block_edges(self):
+        # The first block is the chain above. Every later item t picks item
+        # t - BLOCK, so each link of its chain crosses a block edge, and it
+        # ends at item 1 (source 1) exactly when t = 1 mod BLOCK.
+        steps = 3 * BLOCK + 2
+        u_new = np.full(steps - 1, 0.9)
+        u_new[0] = 0.1
+        u_pick = np.ones(steps - 1)
+        u_pick[1] = 0.0
+        t = np.arange(BLOCK + 1, steps)
+        u_pick[BLOCK:] = (t - BLOCK + 0.5) / t
+        assert np.array_equal((u_pick[BLOCK:] * t).astype(np.int64), t - BLOCK)
+        owners = accel.simon_owners(u_new < 0.5, u_pick)
+        expected = (np.arange(steps) % BLOCK == 1).astype(np.int64)
         assert np.array_equal(owners, expected)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -427,6 +428,13 @@ class TestSimulateCommand:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+    def test_golden_digest(self, capsysbinary):
+        # How the kernel resolves owners may change, the stream it consumes
+        # and the bytes it leads to may not.
+        assert main(["simulate", "--p-new", "0.1", "--steps", "1000000", "--seed", "3"]) == 0
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == "2233c228118b1ea09322268545bfc584c809394780991134070e78f166a0e98d"
 
 
 class TestModuleEntryPoint:

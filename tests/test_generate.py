@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ranklaws as rl
+from ranklaws import generate
+from test_accel import reference_simon_owners
 
 GOLDEN = Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv"
 
@@ -105,6 +108,35 @@ class TestSimulateSimon:
         assert series.n < steps / 4
         assert series.values[0] > 10 * np.median(series.values)
 
+    @pytest.mark.parametrize("steps", [generate._DRAW_CHUNK, generate._DRAW_CHUNK + 2])
+    def test_uniforms_drawn_in_one_stream(self, steps):
+        # The new-source uniforms are drawn a chunk at a time; the result
+        # must equal one draw of all of them, then one of all the picks.
+        rng = np.random.default_rng(5)
+        u_new, u_pick = rng.random(steps - 1), rng.random(steps - 1)
+        owners = reference_simon_owners(u_new, u_pick, 0.3)
+        expected = rl.rank_raw(np.bincount(owners).astype(np.float64))
+        assert rl.simulate_simon(rl.SimonConfig(p_new=0.3, steps=steps, seed=5)) == expected
+
+    def test_peak_memory_per_step(self):
+        # Steps-long arrays: the new-source flags (1 byte), the pick
+        # uniforms (8) and the owners (8); the rest is per block or per
+        # source. Holding the new-source uniforms or a second int64 array
+        # would pass 24.
+        steps = 10**6
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rl.simulate_simon(rl.SimonConfig(p_new=0.1, steps=steps, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 24 * steps
+
     def test_selection_is_proportional_to_counts(self):
         # Freeze a two-source prefix (source 0 holds 2 units, source 1 holds
         # 1) and drive only the third step across many pick variates: the
@@ -116,9 +148,7 @@ class TestSimulateSimon:
         hits = 0
         u_pick = rng.random(trials)
         for u in u_pick:
-            owners = simon_owners(
-                np.array([0.9, 0.1, 0.9]), np.array([0.0, 0.0, u]), 0.5
-            )
+            owners = simon_owners(np.array([0.9, 0.1, 0.9]) < 0.5, np.array([0.0, 0.0, u]))
             # owners[0] = 0, owners[1] copies slot 0, owners[2] = 1 (new),
             # owners[3] picks uniformly over the first three slots.
             assert owners[1] == 0 and owners[2] == 1
@@ -137,6 +167,20 @@ class TestSimulateSimon:
             rl.SimonConfig(p_new=0.5, steps=10, seed=-3)
         with pytest.raises(rl.ValidationError, match="seed must be an integer"):
             rl.SimonConfig(p_new=0.5, steps=3, seed=True)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: rl.SimonConfig(p_new=0.5, steps=10**5000), "steps must be at most 2**53, got <int of 16610 bits>"),
+        (lambda: rl.SimonConfig(p_new=0.5, steps=-(10**5000)),
+         "steps must be a positive integer, got <negative int of 16610 bits>"),
+        (lambda: rl.SimonConfig(p_new=0.5, steps=3, seed=10**5000),
+         "seed must fit in 64 unsigned bits, got <int of 16610 bits>"),
+        (lambda: rl.NoiseSpec(seed=-(10**5000)), "seed must fit in 64 unsigned bits, got <negative int of 16610 bits>"),
+    ], ids=["steps", "negative-steps", "simon-seed", "noise-seed"])
+    def test_ints_past_decimal_limit_named_by_size(self, make, message):
+        # str() of an int of more than 4300 digits raises ValueError.
+        with pytest.raises(rl.ValidationError) as info:
+            make()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("steps", [2**53 + 1, 10**20])
     def test_steps_past_exact_doubles_rejected(self, steps):

@@ -258,3 +258,50 @@ class TestParamValidation:
         params = rl.ZipfParams(k=1, alpha=1)
         with pytest.raises(Exception):
             params.k = 2.0
+
+
+HUGE = 10**5000  # more digits than Python writes in decimal by default
+
+
+class TestIntsPastDecimalLimit:
+    """Texts name an int Python will not write in decimal by its size."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rl.evaluate(rl.ZipfParams(k=1, alpha=1), HUGE),
+         "ranks and lengths must be at most 2**53, got <int of 16610 bits>"),
+        (lambda: rl.evaluate(rl.ZipfParams(k=1, alpha=1), -HUGE),
+         "rank <negative int of 16610 bits> outside valid range r >= 1"),
+        (lambda: rl.evaluate(rl.MandelbrotParams(rho=0, epsilon=0, n=HUGE), 5),
+         "ranks and lengths must be at most 2**53, got <int of 16610 bits>"),
+        (lambda: rl.evaluate(rl.MandelbrotParams(rho=0, epsilon=0, n=5), HUGE),
+         "rank <int of 16610 bits> outside valid range 1..5"),
+        (lambda: rl.model_values(rl.MandelbrotParams(rho=0, epsilon=0, n=HUGE)),
+         "ranks and lengths must be at most 2**53, got <int of 16610 bits>"),
+        (lambda: rl.model_values(rl.MandelbrotParams(rho=0, epsilon=0, n=HUGE), 5),
+         "requested length 5 does not match params n=<int of 16610 bits>"),
+        (lambda: rl.model_values(rl.ZipfParams(k=1, alpha=1), -HUGE),
+         "series length must be >= 1, got <negative int of 16610 bits>"),
+        (lambda: rl.MandelbrotParams(rho=0, epsilon=0, n=-HUGE), "n must be >= 1, got <negative int of 16610 bits>"),
+        # A float field given an int past double range fails its rule
+        # rather than raising OverflowError from math.isfinite.
+        (lambda: rl.ZipfParams(k=10**400, alpha=1), "k must be finite and > 0, got " + str(10**400)),
+        (lambda: rl.ZipfParams(k=1, alpha=-HUGE), "alpha must be finite, got <negative int of 16610 bits>"),
+    ], ids=["zipf-rank", "zipf-negative-rank", "mandelbrot-n", "mandelbrot-rank", "model-values-n",
+            "model-values-mismatch", "model-values-negative", "negative-n", "k-past-double", "alpha"])
+    def test_validation_error_text(self, call, message):
+        with pytest.raises(rl.ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_repr(self):
+        params = rl.MandelbrotParams(rho=0, epsilon=0, n=HUGE)
+        assert repr(params) == "MandelbrotParams(rho=0, epsilon=0, n=<int of 16610 bits>)"
+
+    def test_texts_up_to_2_64_unchanged(self):
+        assert repr(rl.BetaLikeParams(k=1.5, a=0.25, b=-3, n=2**64)) == (
+            "BetaLikeParams(k=1.5, a=0.25, b=-3, n=18446744073709551616)"
+        )
+        assert repr(rl.ZipfParams(k=np.float64(2.0), alpha=1)) == f"ZipfParams(k={np.float64(2.0)!r}, alpha=1)"
+        with pytest.raises(rl.ValidationError) as info:
+            rl.evaluate(rl.ZipfParams(k=1, alpha=1), 2**64)
+        assert str(info.value) == "ranks and lengths must be at most 2**53, got 18446744073709551616"
