@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and how their texts show a number."""
+"""Exception types shared across the package, how their texts show a number, and every field rule."""
+
+import math
+import numbers
+from dataclasses import fields
 
 
 class RankLawsError(Exception):
@@ -41,3 +45,43 @@ def shown(value, text=str) -> str:
         return text(value)
     except ValueError:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+
+
+def integral(value) -> bool:
+    """True for an int or a numpy integer, but not for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Field name -> (check, rule text) pairs, tried in order; any other field must be finite.
+_RULES = {
+    "k": ((lambda v: math.isfinite(v) and v > 0, "be finite and > 0"),),
+    "rho": ((lambda v: math.isfinite(v) and v > -1, "be finite and > -1"),),
+    "n": ((integral, "be an integer"), (lambda v: v >= 1, "be >= 1")),
+    "sigma": ((lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v >= 0, "be finite and >= 0"),),
+    "p_new": ((lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0, "lie strictly inside (0, 1)"),),
+    # Past 2**53 the item indices that scale each Simon pick stop being exact doubles.
+    "steps": ((lambda v: isinstance(v, int) and integral(v) and v >= 1, "be a positive integer"),
+              (lambda v: v <= 2**53, "be at most 2**53")),
+    "seed": ((lambda v: isinstance(v, int) and integral(v), "be an integer"),
+             (lambda v: 0 <= v < 2**64, "fit in 64 unsigned bits")),
+    "mode": ((lambda v: v in ("raw", "pre-ranked"), "be 'raw' or 'pre-ranked'"),),
+    "zero_policy": ((lambda v: v in ("reject", "drop"), "be 'reject' or 'drop'"),),
+    "delimiter": ((lambda v: isinstance(v, str) and len(v) == 1 and (v.isprintable() or v == "\t"),
+                   "be a single printable character or tab"),),
+}
+_FINITE = ((math.isfinite, "be finite"),)
+
+
+class Checked:
+    """Base of a dataclass whose fields are checked against ``_RULES`` on construction."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            for check, rule in _RULES.get(field.name, _FINITE):
+                try:
+                    ok = check(value)
+                except (TypeError, OverflowError):  # not a number, or an int past the double range
+                    ok = False
+                if not ok:
+                    raise ValidationError(f"{field.name} must {rule}, got {shown(value, repr)}")

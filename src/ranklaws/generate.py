@@ -7,29 +7,20 @@ build and nothing global is touched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import accel, models
-from .errors import ValidationError, shown
+from .errors import Checked
 from .ingest import RankedSeries, rank_raw
 
-_SEED_MAX = 2**64
 # New-source uniforms drawn per call by simulate_simon.
 _DRAW_CHUNK = 1 << 16
 
 
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < _SEED_MAX:
-        raise ValidationError(f"seed must fit in 64 unsigned bits, got {shown(seed)}")
-
-
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Checked):
     """Multiplicative lognormal noise: values are scaled by exp(g), g ~ N(0, sigma^2).
 
     Noise lives in log space because the fitters do; sigma is then directly
@@ -39,28 +30,14 @@ class NoiseSpec:
     sigma: float = 0.0
     seed: int = 0
 
-    def __post_init__(self):
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        _check_seed(self.seed)
-
 
 @dataclass(frozen=True)
-class SimonConfig:
+class SimonConfig(Checked):
     """Preferential-attachment run: steps items, new source with probability p_new."""
 
     p_new: float
     steps: int
     seed: int = 0
-
-    def __post_init__(self):
-        if not (isinstance(self.p_new, (int, float)) and 0.0 < self.p_new < 1.0):
-            raise ValidationError(f"p_new must lie strictly inside (0, 1), got {self.p_new!r}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
-            raise ValidationError(f"steps must be a positive integer, got {shown(self.steps, repr)}")
-        if self.steps > 2**53:  # past it the item indices that scale each pick stop being exact doubles
-            raise ValidationError(f"steps must be at most 2**53, got {shown(self.steps)}")
-        _check_seed(self.seed)
 
 
 def generate_synthetic(params: models.ModelParams, noise: NoiseSpec, n: int | None = None) -> RankedSeries:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import Checked, ParseError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +85,7 @@ class RankedSeries:
 
 
 @dataclass(frozen=True)
-class IngestOptions:
+class IngestOptions(Checked):
     """How tabular input is interpreted.
 
     mode "raw" expects a value column (optionally preceded by a label
@@ -97,14 +97,6 @@ class IngestOptions:
     mode: str = "raw"
     zero_policy: str = "reject"
     delimiter: str = ","
-
-    def __post_init__(self):
-        if self.mode not in ("raw", "pre-ranked"):
-            raise ValidationError(f"mode must be 'raw' or 'pre-ranked', got {self.mode!r}")
-        if self.zero_policy not in ("reject", "drop"):
-            raise ValidationError(f"zero_policy must be 'reject' or 'drop', got {self.zero_policy!r}")
-        if len(self.delimiter) != 1 or not (self.delimiter.isprintable() or self.delimiter == "\t"):
-            raise ValidationError(f"delimiter must be a single printable character or tab, got {self.delimiter!r}")
 
 
 def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None = None) -> RankedSeries:

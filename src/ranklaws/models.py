@@ -29,35 +29,16 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError, shown
+from .errors import Checked, ValidationError, integral, shown
 from .ingest import RankedSeries
 
-# Field name -> (check, rule text); any other field must just be finite.
-_FIELD_RULES = {
-    "k": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "rho": (lambda v: math.isfinite(v) and v > -1, "finite and > -1"),
-    "n": (lambda v: v >= 1, ">= 1"),
-}
-_FINITE = (math.isfinite, "finite")
 
-
-class _Law:
-    """Validation shared by every parameter dataclass, driven by its fields."""
+class _Law(Checked):
+    """Base of every parameter dataclass; its fields are checked on construction."""
 
     model: ClassVar[str]
     #: Exponent field -> (power on N+1-r, power on 1/r); empty for mandelbrot.
     exponents: ClassVar[dict[str, tuple[int, int]]] = {}
-
-    def __post_init__(self):
-        for field in fields(self):
-            check, rule = _FIELD_RULES.get(field.name, _FINITE)
-            value = getattr(self, field.name)
-            try:
-                ok = check(value)
-            except OverflowError:  # an int past the double range
-                ok = False
-            if not ok:
-                raise ValidationError(f"{field.name} must be {rule}, got {shown(value)}")
 
     def __repr__(self) -> str:
         # The dataclass repr, but shown() keeps a huge int from raising.
@@ -157,7 +138,7 @@ def evaluate(params: ModelParams, r: int) -> float:
     range, and for a rank or params n past 2**53. The result is always finite and strictly positive; where it would
     leave double range, ValidationError names the law and the rank.
     """
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+    if not integral(r):
         raise ValidationError(f"rank must be an integer, got {r!r}")
     r = int(r)
     n = law_length(params)
@@ -180,14 +161,16 @@ def evaluate(params: ModelParams, r: int) -> float:
 def model_values(params: ModelParams, n: int | None = None) -> np.ndarray:
     """Tabulate the law over ranks 1..n as a float64 array.
 
-    ``n`` defaults to ``params.n``; zipf carries no length, so it must be
-    given, and for the other laws it must match ``params.n``. Unlike
+    The integer ``n`` defaults to ``params.n``; zipf carries no length, so it
+    must be given, and for the other laws it must match ``params.n``. Unlike
     :func:`curve` this applies no monotonicity check, so it also serves
     fitted parameter sets whose exponents fall outside the decreasing
     regime.
     """
     if n is None and (n := law_length(params)) is None:
         raise ValidationError("zipf needs an explicit length n")
+    if not integral(n):
+        raise ValidationError(f"series length must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"series length must be >= 1, got {shown(n)}")
     _check_exact(n)

@@ -1,0 +1,61 @@
+"""The field rules every params and config dataclass is checked against."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+import pytest
+
+import ranklaws as rl
+from ranklaws.errors import _RULES, Checked
+
+CHECKED = (rl.ZipfParams, rl.MandelbrotParams, rl.LavaletteParams, rl.BetaLikeParams,
+           rl.NoiseSpec, rl.SimonConfig, rl.IngestOptions)
+# Law exponents, which only have to be finite.
+FINITE_ONLY = {"alpha", "a", "b", "epsilon"}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rl.ZipfParams(k=0, alpha=1), "k must be finite and > 0, got 0"),
+    (lambda: rl.MandelbrotParams(rho=-1.5, epsilon=0, n=5), "rho must be finite and > -1, got -1.5"),
+    (lambda: rl.LavaletteParams(k=1, b=1, n=2.5), "n must be an integer, got 2.5"),
+    (lambda: rl.BetaLikeParams(k=1, a=1, b=1, n=0), "n must be >= 1, got 0"),
+    (lambda: rl.MandelbrotParams(rho=0, epsilon=float("inf"), n=5), "epsilon must be finite, got inf"),
+    (lambda: rl.NoiseSpec(sigma=-0.1), "sigma must be finite and >= 0, got -0.1"),
+    (lambda: rl.SimonConfig(p_new=1.0, steps=10), "p_new must lie strictly inside (0, 1), got 1.0"),
+    (lambda: rl.SimonConfig(p_new=0.5, steps=0), "steps must be a positive integer, got 0"),
+    (lambda: rl.SimonConfig(p_new=0.5, steps=2**53 + 1), "steps must be at most 2**53, got 9007199254740993"),
+    (lambda: rl.NoiseSpec(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: rl.SimonConfig(p_new=0.5, steps=3, seed=2**64),
+     "seed must fit in 64 unsigned bits, got 18446744073709551616"),
+    (lambda: rl.IngestOptions(mode="ranked"), "mode must be 'raw' or 'pre-ranked', got 'ranked'"),
+    (lambda: rl.IngestOptions(zero_policy="keep"), "zero_policy must be 'reject' or 'drop', got 'keep'"),
+    (lambda: rl.IngestOptions(delimiter="ab"), "delimiter must be a single printable character or tab, got 'ab'"),
+], ids=["k", "rho", "n-integer", "n-positive", "exponent", "sigma", "p_new", "steps-positive", "steps-exact",
+        "seed-integer", "seed-64-bits", "mode", "zero_policy", "delimiter"])
+def test_rule_text(make, message):
+    with pytest.raises(rl.ValidationError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rl.ZipfParams(k="1", alpha=1), "k must be finite and > 0, got '1'"),
+    (lambda: rl.ZipfParams(k=None, alpha=1), "k must be finite and > 0, got None"),
+    (lambda: rl.BetaLikeParams(k=1, a=1j, b=1, n=5), "a must be finite, got 1j"),
+    (lambda: rl.LavaletteParams(k=1, b=1, n=True), "n must be an integer, got True"),
+    (lambda: rl.IngestOptions(delimiter=5), "delimiter must be a single printable character or tab, got 5"),
+    (lambda: rl.IngestOptions(delimiter=None), "delimiter must be a single printable character or tab, got None"),
+], ids=["k-str", "k-none", "a-complex", "n-bool", "delimiter-int", "delimiter-none"])
+def test_wrong_type_is_validation_error(make, message):
+    with pytest.raises(rl.ValidationError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_rule_table_names_every_field():
+    # A field missing from _RULES would fall back to the finite rule unnoticed.
+    assert all(issubclass(cls, Checked) for cls in CHECKED)
+    names = {field.name for cls in CHECKED for field in fields(cls)}
+    assert FINITE_ONLY <= names
+    assert names - FINITE_ONLY == set(_RULES)

@@ -112,6 +112,21 @@ class TestCurve:
             tabulate(rl.ZipfParams(k=1, alpha=1))
         assert str(info.value) == "zipf needs an explicit length n"
 
+    @pytest.mark.parametrize("tabulate", [
+        rl.model_values,
+        rl.curve,
+        lambda params, n: rl.generate_synthetic(params, rl.NoiseSpec(), n=n),
+    ], ids=["model_values", "curve", "generate_synthetic"])
+    @pytest.mark.parametrize("n", [3.5, 3.0, True])
+    def test_non_integer_length_rejected(self, tabulate, n):
+        with pytest.raises(rl.ValidationError) as info:
+            tabulate(rl.ZipfParams(k=1, alpha=1), n)
+        assert str(info.value) == f"series length must be an integer, got {n!r}"
+
+    def test_numpy_integer_length_accepted(self):
+        params = rl.LavaletteParams(k=1, b=1, n=np.int64(3))
+        assert rl.model_values(params).tolist() == rl.model_values(params, np.int32(3)).tolist() == [3.0, 1.0, 1 / 3]
+
     @pytest.mark.parametrize("params, n", [
         (rl.ZipfParams(k=1, alpha=1), 2**53 + 1),
         (rl.ZipfParams(k=1, alpha=1), 10**23),
