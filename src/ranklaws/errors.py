@@ -1,4 +1,4 @@
-"""Exception types shared across the package, how their texts show a number, and every field rule."""
+"""Exception types shared across the package, how their texts show a number, and every field and argument rule."""
 
 import math
 import numbers
@@ -35,14 +35,14 @@ class InsufficientDataError(FitError):
     """The series is shorter than the model's minimum length."""
 
 
-def shown(value, text=str) -> str:
-    """``text(value)`` for an error text or repr, or an int's size where that fails.
+def shown(value) -> str:
+    """``repr(value)`` for an error text, or an int's size where that fails.
 
     Python refuses to write an int of more than 4300 digits in decimal (see
     sys.set_int_max_str_digits); such an int is shown by its bit length.
     """
     try:
-        return text(value)
+        return repr(value)
     except ValueError:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
 
@@ -52,18 +52,21 @@ def integral(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# Field name -> (check, rule text) pairs, tried in order; any other field must be finite.
+# A count: a law's N, an evaluated rank, a Simon step total. Past 2**53 integers
+# stop being exact doubles, so ranks, N+1-r and the item indices that scale each
+# Simon pick would round.
+_COUNT = ((integral, "be an integer"), (lambda v: v >= 1, "be >= 1"), (lambda v: v <= 2**53, "be at most 2**53"))
+
+# Field or argument name -> (check, rule text) pairs, tried in order; any other name must be finite.
 _RULES = {
     "k": ((lambda v: math.isfinite(v) and v > 0, "be finite and > 0"),),
     "rho": ((lambda v: math.isfinite(v) and v > -1, "be finite and > -1"),),
-    "n": ((integral, "be an integer"), (lambda v: v >= 1, "be >= 1")),
-    "sigma": ((lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v >= 0, "be finite and >= 0"),),
-    "p_new": ((lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0, "lie strictly inside (0, 1)"),),
-    # Past 2**53 the item indices that scale each Simon pick stop being exact doubles.
-    "steps": ((lambda v: isinstance(v, int) and integral(v) and v >= 1, "be a positive integer"),
-              (lambda v: v <= 2**53, "be at most 2**53")),
-    "seed": ((lambda v: isinstance(v, int) and integral(v), "be an integer"),
-             (lambda v: 0 <= v < 2**64, "fit in 64 unsigned bits")),
+    "n": _COUNT,
+    "rank": _COUNT,
+    "steps": _COUNT,
+    "sigma": ((lambda v: math.isfinite(v) and v >= 0, "be finite and >= 0"),),
+    "p_new": ((lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)"),),
+    "seed": ((integral, "be an integer"), (lambda v: 0 <= v < 2**64, "fit in 64 unsigned bits")),
     "mode": ((lambda v: v in ("raw", "pre-ranked"), "be 'raw' or 'pre-ranked'"),),
     "zero_policy": ((lambda v: v in ("reject", "drop"), "be 'reject' or 'drop'"),),
     "delimiter": ((lambda v: isinstance(v, str) and len(v) == 1 and (v.isprintable() or v == "\t"),
@@ -72,16 +75,20 @@ _RULES = {
 _FINITE = ((math.isfinite, "be finite"),)
 
 
+def check(name: str, value) -> None:
+    """Raise ValidationError at the first rule of ``name`` in ``_RULES`` that ``value`` fails."""
+    for test, rule in _RULES.get(name, _FINITE):
+        try:
+            ok = test(value)
+        except (TypeError, OverflowError):  # not a number, or an int past the double range
+            ok = False
+        if not ok:
+            raise ValidationError(f"{name} must {rule}, got {shown(value)}")
+
+
 class Checked:
     """Base of a dataclass whose fields are checked against ``_RULES`` on construction."""
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            for check, rule in _RULES.get(field.name, _FINITE):
-                try:
-                    ok = check(value)
-                except (TypeError, OverflowError):  # not a number, or an int past the double range
-                    ok = False
-                if not ok:
-                    raise ValidationError(f"{field.name} must {rule}, got {shown(value, repr)}")
+            check(field.name, getattr(self, field.name))

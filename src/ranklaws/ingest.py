@@ -81,7 +81,7 @@ class RankedSeries:
         return np.array_equal(self.values, other.values) and self.labels == other.labels
 
     def __repr__(self) -> str:
-        return f"RankedSeries(n={self.n}, max={self.values[0]!r}, min={self.values[-1]!r})"
+        return f"RankedSeries(n={self.n}, max={float(self.values[0])}, min={float(self.values[-1])})"
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import math
 
 import numpy as np
 
-from .errors import Checked, ValidationError, integral, shown
+from .errors import Checked, ValidationError, check
 from .ingest import RankedSeries
 
 
@@ -40,13 +40,8 @@ class _Law(Checked):
     #: Exponent field -> (power on N+1-r, power on 1/r); empty for mandelbrot.
     exponents: ClassVar[dict[str, tuple[int, int]]] = {}
 
-    def __repr__(self) -> str:
-        # The dataclass repr, but shown() keeps a huge int from raising.
-        text = ", ".join(f"{field.name}={shown(getattr(self, field.name), repr)}" for field in fields(self))
-        return f"{type(self).__qualname__}({text})"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ZipfParams(_Law):
     """Power law K / r^alpha; defined for every rank r >= 1."""
 
@@ -57,7 +52,7 @@ class ZipfParams(_Law):
     exponents: ClassVar[dict[str, tuple[int, int]]] = {"alpha": (0, 1)}
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class MandelbrotParams(_Law):
     """Offset power law ((N + rho) / (r + rho))^(1 + epsilon).
 
@@ -72,7 +67,7 @@ class MandelbrotParams(_Law):
     model: ClassVar[str] = "mandelbrot"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class LavaletteParams(_Law):
     """One-exponent law K ((N + 1 - r) / r)^b with a depleting numerator."""
 
@@ -84,7 +79,7 @@ class LavaletteParams(_Law):
     exponents: ClassVar[dict[str, tuple[int, int]]] = {"b": (1, 1)}
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class BetaLikeParams(_Law):
     """Two-exponent law K (N + 1 - r)^b / r^a.
 
@@ -110,12 +105,6 @@ LAWS = {law.model: law for law in (ZipfParams, MandelbrotParams, LavaletteParams
 MODEL_TAGS = tuple(LAWS)
 
 
-def _check_exact(n: int) -> None:
-    """Reject a length or rank past 2**53, where integers stop being exact doubles."""
-    if n > 2**53:
-        raise ValidationError(f"ranks and lengths must be at most 2**53, got {shown(n)}")
-
-
 def law_length(params: ModelParams, default: int | None = None) -> int | None:
     """The series length ``params`` carry; zipf carries none and gets ``default``."""
     return default if isinstance(params, ZipfParams) else params.n
@@ -133,22 +122,17 @@ def _law_values(params: ModelParams, r, n):
 def evaluate(params: ModelParams, r: int) -> float:
     """Evaluate the law at integer rank ``r``.
 
-    The laws are defined only on the rank lattice: 1 <= r <= n for the
-    n-bearing models, r >= 1 for zipf. Raises ValidationError outside that
-    range, and for a rank or params n past 2**53. The result is always finite and strictly positive; where it would
-    leave double range, ValidationError names the law and the rank.
+    The laws are defined only on the rank lattice: ``r`` is a count (an
+    integer in 1..2**53), and at most n for the n-bearing models. Raises
+    ValidationError outside that range. The result is always finite and
+    strictly positive; where it would leave double range, ValidationError
+    names the law and the rank.
     """
-    if not integral(r):
-        raise ValidationError(f"rank must be an integer, got {r!r}")
+    check("rank", r)
     r = int(r)
-    n = law_length(params)
-    if n is None:
-        if r < 1:
-            raise ValidationError(f"rank {shown(r)} outside valid range r >= 1")
-        n = r  # zipf puts power 0 on N+1-r, so any N >= r will do
-    elif not 1 <= r <= n:
-        raise ValidationError(f"rank {shown(r)} outside valid range 1..{shown(n)}")
-    _check_exact(n)
+    n = law_length(params, r)  # zipf puts power 0 on N+1-r, so any N >= r will do
+    if r > n:
+        raise ValidationError(f"rank {r} outside valid range 1..{n}")
     # A one-element array takes model_values' ufunc loops, so the bits match
     # it; a value out of double range comes out as 0, inf or nan.
     with np.errstate(all="ignore"):
@@ -169,13 +153,9 @@ def model_values(params: ModelParams, n: int | None = None) -> np.ndarray:
     """
     if n is None and (n := law_length(params)) is None:
         raise ValidationError("zipf needs an explicit length n")
-    if not integral(n):
-        raise ValidationError(f"series length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"series length must be >= 1, got {shown(n)}")
-    _check_exact(n)
+    check("n", n)
     if law_length(params, n) != n:
-        raise ValidationError(f"requested length {shown(n)} does not match params n={shown(params.n)}")
+        raise ValidationError(f"requested length {n} does not match params n={params.n}")
     return _law_values(params, np.arange(1, n + 1, dtype=np.float64), n)
 
 

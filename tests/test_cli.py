@@ -183,9 +183,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["generate", "--model", "zipf", "--k", "1", "--alpha", "1", "--n", str(10**23)],
-         f"ranks and lengths must be at most 2**53, got {10**23}"),
+         f"n must be at most 2**53, got {10**23}"),
         (["generate", "--model", "beta-like", "--k", "1", "--a", "1", "--b", "1", "--n", str(2**53 + 1)],
-         f"ranks and lengths must be at most 2**53, got {2**53 + 1}"),
+         f"n must be at most 2**53, got {2**53 + 1}"),
         (["simulate", "--p-new", "0.1", "--steps", str(10**20)], f"steps must be at most 2**53, got {10**20}"),
     ], ids=["zipf-n-10**23", "beta-like-n-2**53+1", "steps-10**20"])
     def test_size_past_exact_doubles_is_usage_error(self, capsys, argv, message):

@@ -23,7 +23,7 @@ FINITE_ONLY = {"alpha", "a", "b", "epsilon"}
     (lambda: rl.MandelbrotParams(rho=0, epsilon=float("inf"), n=5), "epsilon must be finite, got inf"),
     (lambda: rl.NoiseSpec(sigma=-0.1), "sigma must be finite and >= 0, got -0.1"),
     (lambda: rl.SimonConfig(p_new=1.0, steps=10), "p_new must lie strictly inside (0, 1), got 1.0"),
-    (lambda: rl.SimonConfig(p_new=0.5, steps=0), "steps must be a positive integer, got 0"),
+    (lambda: rl.SimonConfig(p_new=0.5, steps=0), "steps must be >= 1, got 0"),
     (lambda: rl.SimonConfig(p_new=0.5, steps=2**53 + 1), "steps must be at most 2**53, got 9007199254740993"),
     (lambda: rl.NoiseSpec(seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: rl.SimonConfig(p_new=0.5, steps=3, seed=2**64),
@@ -56,6 +56,32 @@ def test_wrong_type_is_validation_error(make, message):
 def test_rule_table_names_every_field():
     # A field missing from _RULES would fall back to the finite rule unnoticed.
     assert all(issubclass(cls, Checked) for cls in CHECKED)
+    # rank is checked as evaluate's argument, not as a field.
     names = {field.name for cls in CHECKED for field in fields(cls)}
     assert FINITE_ONLY <= names
-    assert names - FINITE_ONLY == set(_RULES)
+    assert set(_RULES) - (names - FINITE_ONLY) == {"rank"}
+    assert names - FINITE_ONLY <= set(_RULES)
+
+
+HUGE = 10**5000  # more digits than Python writes in decimal by default
+
+
+@pytest.mark.parametrize("name, make", [
+    ("n", lambda n: rl.LavaletteParams(k=1, b=1, n=n)),
+    ("n", lambda n: rl.model_values(rl.ZipfParams(k=1, alpha=1), n)),
+    ("rank", lambda r: rl.evaluate(rl.ZipfParams(k=1, alpha=1), r)),
+    ("steps", lambda steps: rl.SimonConfig(p_new=0.5, steps=steps)),
+], ids=["LavaletteParams", "model_values", "evaluate", "SimonConfig"])
+@pytest.mark.parametrize("value, rule, shown", [
+    (2.5, "be an integer", "2.5"),
+    (True, "be an integer", "True"),
+    (0, "be >= 1", "0"),
+    (-HUGE, "be >= 1", "<negative int of 16610 bits>"),
+    (2**53 + 1, "be at most 2**53", "9007199254740993"),
+    (HUGE, "be at most 2**53", "<int of 16610 bits>"),
+], ids=["float", "bool", "zero", "negative-huge", "2**53+1", "huge"])
+def test_one_count_rule(name, make, value, rule, shown):
+    # A law's n, an explicit length, an evaluated rank and a Simon step total are all counts.
+    with pytest.raises(rl.ValidationError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must {rule}, got {shown}"

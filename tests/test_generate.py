@@ -79,6 +79,11 @@ class TestGenerateSynthetic:
             rl.NoiseSpec(seed=1.5)
         rl.NoiseSpec(sigma=0.0, seed=2**64 - 1)
 
+    def test_numpy_scalars_give_same_series(self):
+        params = rl.ZipfParams(k=1.0, alpha=1.0)
+        series = rl.generate_synthetic(params, rl.NoiseSpec(sigma=np.float32(0.1), seed=np.int64(3)), n=50)
+        assert series == rl.generate_synthetic(params, rl.NoiseSpec(sigma=float(np.float32(0.1)), seed=3), n=50)
+
 
 class TestSimulateSimon:
     def test_single_step_is_single_source(self):
@@ -91,6 +96,10 @@ class TestSimulateSimon:
             assert int(series.values.sum()) == 4000
             assert 1 <= series.n <= 4000
             assert np.all(series.values >= 1)
+
+    def test_numpy_scalars_give_same_counts(self):
+        config = rl.SimonConfig(p_new=np.float64(0.1), steps=np.int64(1000), seed=np.uint64(3))
+        assert rl.simulate_simon(config) == rl.simulate_simon(rl.SimonConfig(p_new=0.1, steps=1000, seed=3))
 
     def test_same_seed_same_counts(self):
         config = rl.SimonConfig(p_new=0.2, steps=2000, seed=7)
@@ -171,7 +180,7 @@ class TestSimulateSimon:
     @pytest.mark.parametrize("make, message", [
         (lambda: rl.SimonConfig(p_new=0.5, steps=10**5000), "steps must be at most 2**53, got <int of 16610 bits>"),
         (lambda: rl.SimonConfig(p_new=0.5, steps=-(10**5000)),
-         "steps must be a positive integer, got <negative int of 16610 bits>"),
+         "steps must be >= 1, got <negative int of 16610 bits>"),
         (lambda: rl.SimonConfig(p_new=0.5, steps=3, seed=10**5000),
          "seed must fit in 64 unsigned bits, got <int of 16610 bits>"),
         (lambda: rl.NoiseSpec(seed=-(10**5000)), "seed must fit in 64 unsigned bits, got <negative int of 16610 bits>"),

@@ -39,6 +39,9 @@ class TestRankedSeries:
         s = rl.RankedSeries(np.array([4.0, 2.0]), labels=("x", "y"))
         assert list(s.entries()) == [(1, 4.0, "x"), (2, 2.0, "y")]
 
+    def test_repr_shows_python_floats(self):
+        assert repr(rl.RankedSeries([2.0, 1.0])) == "RankedSeries(n=2, max=2.0, min=1.0)"
+
     def test_equality(self):
         a = rl.RankedSeries(np.array([2.0, 1.0]))
         b = rl.RankedSeries(np.array([2.0, 1.0]))
