@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 from dataclasses import fields
 
 
@@ -48,8 +49,14 @@ def shown(value) -> str:
 
 
 def integral(value) -> bool:
-    """True for an int or a numpy integer, but not for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for an int or a numpy integer."""
+    return isinstance(value, numbers.Integral)
+
+
+def boolean(value) -> bool:
+    """True for a bool or a numpy.bool_. A numpy.bool_ exists only once numpy is loaded, so this does not import it."""
+    numpy = sys.modules.get("numpy")
+    return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
 
 
 # A count: a law's N, an evaluated rank, a Simon step total. Past 2**53 integers
@@ -76,10 +83,13 @@ _FINITE = ((math.isfinite, "be finite"),)
 
 
 def check(name: str, value) -> None:
-    """Raise ValidationError at the first rule of ``name`` in ``_RULES`` that ``value`` fails."""
+    """Raise ValidationError at the first rule of ``name`` in ``_RULES`` that ``value`` fails.
+
+    A bool fails every rule: no field takes a truth value.
+    """
     for test, rule in _RULES.get(name, _FINITE):
         try:
-            ok = test(value)
+            ok = not boolean(value) and test(value)
         except (TypeError, OverflowError):  # not a number, or an int past the double range
             ok = False
         if not ok:

@@ -14,7 +14,9 @@ here because both surprise users:
   and the fitted curve always passes through f(N) = 1;
 * its rank offset rho enters nonlinearly; for fixed rho the best slope is
   closed-form, and rho itself is found by golden-section search on that
-  profiled objective over (-0.99, 10 N].
+  profiled objective over [-0.99, 10 N]. The search assumes one minimum in
+  the bracket, which the profile need not have, so its result is compared
+  with both bracket ends and the best of the three is kept.
 
 A law's free-parameter count is its number of fields other than n; a fit
 needs one value more than that. Goodness of fit is the log-space
@@ -160,7 +162,7 @@ def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     except OverflowError:
         k = math.inf
     if not 0.0 < k < math.inf:  # K overflows or underflows
-        raise FitError(f"{law.model} fit is not finite in double precision (log k={intercept!r})")
+        raise FitError(f"{law.model} fit: K is outside the double range (log k = {intercept!r})")
     values = {"k": k, "n": series.n}
     # + 0.0 turns the -0.0 an exact-zero slope can come out as into 0.0.
     values.update((name, float(c) + 0.0) for name, c in zip(law.exponents, coef))
@@ -187,8 +189,11 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
 
     For each candidate rho the no-intercept slope is closed form; the
     golden-section search below minimizes that profiled SSE over rho in
-    (-0.99, 10 N]. Lands at a bracket edge only when the objective keeps
-    improving toward it, which is flagged as a warning on the report.
+    [-0.99, 10 N]. Where the profile has an interior maximum rather than one
+    minimum, the search runs to whichever end it meets; so its point is
+    compared with both ends, and the lowest SSE of the three wins (the
+    search's point on a tie). A rho at or near an end is flagged as a
+    warning on the report.
     """
     _require_length(series, _param_count(models.MandelbrotParams) + 1, "mandelbrot fit")
     y = np.log(series.values)
@@ -210,7 +215,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
             fd = objective(d)
-    rho = (a + b) / 2.0
+    rho = min((a + b) / 2.0, lo, hi, key=objective)
 
     slope = accel.mandelbrot_profile(y, rho)[0]
     warnings: tuple[str, ...] = ()

@@ -15,7 +15,7 @@ import csv
 import io
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -166,7 +166,9 @@ def parse_csv(
     The text goes through ``csv.reader`` once, in slices of about 10^6
     characters; each row leaves only its value, rank and kept label behind.
     A malformed CSV record anywhere in the text is reported before an error
-    in any cell.
+    in any cell. The rows are then ordered (by validated rank, or by
+    ``rank_raw``'s stable sort), filtered of dropped rows and gathered,
+    values and labels, once.
     """
     if options is None:
         options = IngestOptions()
@@ -195,20 +197,15 @@ def parse_csv(
         missing = np.setdiff1d(np.arange(1, kept.size + 1), ordered, assume_unique=True)
         if missing.size:
             raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: missing {missing.tolist()}")
-        kept = kept[order]
-        if row_labels is not None:
-            row_labels = list(map(row_labels.__getitem__, order.tolist()))
+    else:
+        order = np.argsort(-kept, kind="stable")  # rank_raw's sort; dropped rows are filtered out below
     if warnings:
-        positive = kept > 0
-        kept = kept[positive]
-        if not kept.size:
+        order = order[kept[order] > 0]
+        if not order.size:
             raise ValidationError("all rows were dropped; no positive values remain")
-        if row_labels is not None:
-            row_labels = list(compress(row_labels, positive.tolist()))
-
-    if options.mode == "raw":
-        return rank_raw(kept, row_labels), warnings
-    return RankedSeries(kept, row_labels), warnings
+    if row_labels is not None:
+        row_labels = tuple(map(row_labels.__getitem__, order.tolist()))
+    return RankedSeries(kept[order], row_labels), warnings
 
 
 # Characters per slice fed to csv.reader. A slice ends just after a

@@ -132,9 +132,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("ranklaws: error: line 1: ")
 
+    # Each input's zipf fit error.
+    ZIPF_OVERFLOWS = {
+        # the fitted law overflows at the low ranks
+        "1e300\n1152921504606846976\n12345\n3.5\n1\n0.1\n1e-310\n": "zipf fit is not finite in double precision (log_sse=",
+        # the fitted K overflows
+        "1.7e308\n1.6e308\n1.5e308\n1e-300\n": "zipf fit: K is outside the double range (log k = 966.9",
+    }
+
     @pytest.mark.parametrize("command, prefix", [(["fit", "--model", "zipf"], ""), (["compare"], "zipf: ")])
-    @pytest.mark.parametrize("text", ["1e300\n1152921504606846976\n12345\n3.5\n1\n0.1\n1e-310\n",
-                                      "1.7e308\n1.6e308\n1.5e308\n1e-300\n"])
+    @pytest.mark.parametrize("text", ZIPF_OVERFLOWS)
     def test_overflowing_fit_is_fit_error(self, capsys, tmp_path, command, prefix, text):
         path = tmp_path / "decades.csv"
         path.write_text(text)
@@ -142,7 +149,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith(f"ranklaws: fit error: {prefix}zipf fit is not finite")
+        assert captured.err.startswith(f"ranklaws: fit error: {prefix}{self.ZIPF_OVERFLOWS[text]}")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command, prefix, text", [
@@ -157,7 +164,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith(f"ranklaws: fit error: {prefix}beta-like fit is not finite in double precision (log k=-")
+        error = f"ranklaws: fit error: {prefix}beta-like fit: K is outside the double range (log k = -"
+        assert captured.err.startswith(error)
         assert captured.err.count("\n") == 1
 
     def test_quiet_silences_diagnostics(self, capsys, tmp_path):

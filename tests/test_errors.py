@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import ranklaws as rl
@@ -44,13 +45,48 @@ def test_rule_text(make, message):
     (lambda: rl.ZipfParams(k=None, alpha=1), "k must be finite and > 0, got None"),
     (lambda: rl.BetaLikeParams(k=1, a=1j, b=1, n=5), "a must be finite, got 1j"),
     (lambda: rl.LavaletteParams(k=1, b=1, n=True), "n must be an integer, got True"),
+    (lambda: rl.ZipfParams(k=True, alpha=False), "k must be finite and > 0, got True"),
+    (lambda: rl.ZipfParams(k=1, alpha=False), "alpha must be finite, got False"),
+    (lambda: rl.MandelbrotParams(rho=False, epsilon=True, n=3), "rho must be finite and > -1, got False"),
+    (lambda: rl.NoiseSpec(sigma=True), "sigma must be finite and >= 0, got True"),
+    (lambda: rl.NoiseSpec(seed=True), "seed must be an integer, got True"),
+    (lambda: rl.SimonConfig(p_new=True, steps=3), "p_new must lie strictly inside (0, 1), got True"),
     (lambda: rl.IngestOptions(delimiter=5), "delimiter must be a single printable character or tab, got 5"),
     (lambda: rl.IngestOptions(delimiter=None), "delimiter must be a single printable character or tab, got None"),
-], ids=["k-str", "k-none", "a-complex", "n-bool", "delimiter-int", "delimiter-none"])
+], ids=["k-str", "k-none", "a-complex", "n-bool", "k-bool", "alpha-bool", "rho-bool", "sigma-bool", "seed-bool",
+        "p_new-bool", "delimiter-int", "delimiter-none"])
 def test_wrong_type_is_validation_error(make, message):
     with pytest.raises(rl.ValidationError) as info:
         make()
     assert str(info.value) == message
+
+
+# One valid instance per class with float fields; each float field is swapped for a bool below.
+FLOAT_FIELDS = [
+    (rl.ZipfParams(k=1.0, alpha=1.0), "k", "be finite and > 0"),
+    (rl.ZipfParams(k=1.0, alpha=1.0), "alpha", "be finite"),
+    (rl.MandelbrotParams(rho=0.0, epsilon=0.0, n=3), "rho", "be finite and > -1"),
+    (rl.MandelbrotParams(rho=0.0, epsilon=0.0, n=3), "epsilon", "be finite"),
+    (rl.LavaletteParams(k=1.0, b=1.0, n=3), "k", "be finite and > 0"),
+    (rl.LavaletteParams(k=1.0, b=1.0, n=3), "b", "be finite"),
+    (rl.BetaLikeParams(k=1.0, a=1.0, b=1.0, n=3), "k", "be finite and > 0"),
+    (rl.BetaLikeParams(k=1.0, a=1.0, b=1.0, n=3), "a", "be finite"),
+    (rl.BetaLikeParams(k=1.0, a=1.0, b=1.0, n=3), "b", "be finite"),
+    (rl.NoiseSpec(), "sigma", "be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("instance, name, rule", FLOAT_FIELDS,
+                         ids=[f"{type(inst).__name__}.{name}" for inst, name, _ in FLOAT_FIELDS])
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_float_field_rejects_bool(instance, name, rule, flag):
+    # A bool passes math.isfinite and compares as 0 or 1, so the check rejects it before any rule.
+    with pytest.raises(rl.ValidationError) as info:
+        type(instance)(**{**vars(instance), name: flag})
+    if isinstance(flag, bool):
+        assert str(info.value) == f"{name} must {rule}, got {flag!r}"
+    else:  # repr of a numpy bool differs between numpy 1.24 and 2.x
+        assert str(info.value).startswith(f"{name} must {rule}, got ")
 
 
 def test_rule_table_names_every_field():

@@ -167,26 +167,33 @@ class TestReportInvariants:
         rl.fit_beta_like(four)
         rl.compare_models(four)
 
-    @pytest.mark.parametrize("values", [
-        [1e300, 2.0**60, 12345.0, 3.5, 1.0, 0.1, 1e-310],  # the fitted law overflows at the low ranks
-        [1.7e308, 1.6e308, 1.5e308, 1e-300],  # the fitted K overflows
-    ])
+    # Each series' zipf fit error.
+    ZIPF_OVERFLOWS = {
+        # the fitted law overflows at the low ranks
+        (1e300, 2.0**60, 12345.0, 3.5, 1.0, 0.1, 1e-310): r"zipf fit is not finite in double precision \(log_sse=",
+        # the fitted K overflows
+        (1.7e308, 1.6e308, 1.5e308, 1e-300): r"zipf fit: K is outside the double range \(log k = \d",
+    }
+
+    @pytest.mark.parametrize("values", ZIPF_OVERFLOWS)
     def test_overflowing_law_is_fit_error(self, values):
+        error = self.ZIPF_OVERFLOWS[values]
         series = rl.RankedSeries(np.array(values))
-        with pytest.raises(rl.FitError, match=r"^zipf fit is not finite"):
+        with pytest.raises(rl.FitError, match="^" + error):
             rl.fit_zipf(series)
-        with pytest.raises(rl.FitError, match=r"^zipf: zipf fit is not finite"):
+        with pytest.raises(rl.FitError, match="^zipf: " + error):
             rl.compare_models(series)
 
     @pytest.mark.parametrize("values, compare_error", [
         # beta-like log k = -1684; compare stops earlier, at zipf's overflowing K
-        ([1.7976931348623157e308] * 3 + [1e300] * 2 + [1.0, 1e-300], r"^zipf: zipf fit is not finite .*\(log k=\d"),
+        ([1.7976931348623157e308] * 3 + [1e300] * 2 + [1.0, 1e-300],
+         r"^zipf: zipf fit: K is outside the double range \(log k = \d"),
         # beta-like log k = -966; the other three laws fit
-        ([1e100, 1.0, 1.0, 1.0, 1e-307], r"^beta-like: beta-like fit is not finite .*\(log k=-\d"),
+        ([1e100, 1.0, 1.0, 1.0, 1e-307], r"^beta-like: beta-like fit: K is outside the double range \(log k = -\d"),
     ])
     def test_underflowing_k_is_fit_error(self, values, compare_error):
         series = rl.rank_raw(values)
-        with pytest.raises(rl.FitError, match=r"^beta-like fit is not finite in double precision \(log k=-\d"):
+        with pytest.raises(rl.FitError, match=r"^beta-like fit: K is outside the double range \(log k = -\d"):
             rl.fit_beta_like(series)
         with pytest.raises(rl.FitError, match=compare_error):
             rl.compare_models(series)
@@ -258,14 +265,35 @@ class TestOlsProperties:
         assert rep.params.a == pytest.approx(reversed_rep.params.b, abs=1e-12)
         assert rep.params.b == pytest.approx(reversed_rep.params.a, abs=1e-12)
 
+    # The profile of this series has no interior minimum; the search alone ran to rho = 10 N (SSE 69.751).
+    LOW_EDGE_VALUES = [23, 3.8, 2.1, 1.0, 0.6, 0.37, 0.29, 0.19, 0.14, 0.12, 0.091, 0.079, 0.064, 0.062, 0.056, 0.054]
+
     def test_mandelbrot_no_worse_than_bracket_endpoints(self):
         rng = np.random.default_rng(19)
-        for _ in range(10):
+        cases = [random_series(rng) for _ in range(10)] + [rl.RankedSeries(np.array(self.LOW_EDGE_VALUES))]
+        for series in cases:
+            rep = rl.fit_mandelbrot(series)
+            y = np.log(series.values)
+            for rho in (-0.99, 0.0, 10.0 * series.n):
+                assert rep.log_sse <= accel.mandelbrot_profile(y, rho)[1] + 1e-9
+
+    def test_mandelbrot_takes_the_better_bracket_end(self):
+        rep = rl.fit_mandelbrot(rl.RankedSeries(np.array(self.LOW_EDGE_VALUES)))
+        assert rep.params.rho == -0.99
+        assert rep.log_sse == pytest.approx(65.623, abs=1e-3)
+        assert any("bracket edge" in w for w in rep.warnings)
+
+    def test_mandelbrot_no_worse_than_log_grid(self):
+        # A fit is the best point of its bracket: no point of a 400-point log
+        # grid over [-0.99, 10 N] may beat its SSE by more than 1e-8 relative.
+        rng = np.random.default_rng(11)
+        for draw in range(300):
             series = random_series(rng)
             rep = rl.fit_mandelbrot(series)
             y = np.log(series.values)
-            for rho in (0.0, 10.0 * series.n):
-                assert rep.log_sse <= accel.mandelbrot_profile(y, rho)[1] + 1e-9
+            grid = -1.0 + np.geomspace(0.01, 10.0 * series.n + 1.0, 400)
+            best = min(accel.mandelbrot_profile(y, rho)[1] for rho in grid)
+            assert best >= rep.log_sse * (1.0 - 1e-8), f"draw {draw}: grid SSE {best!r} < fitted {rep.log_sse!r}"
 
     def test_mandelbrot_search_ends_on_large_series(self, monkeypatch):
         # Near rho = 10 N float spacing exceeds the absolute tolerance; the

@@ -332,6 +332,8 @@ class TestColumnPath:
     @example(("a,4.0\nb,0\nc,2.0\n", rl.IngestOptions(zero_policy="drop")))
     @example(("1,4.0\n3,-1\n2,2.0\n", rl.IngestOptions(mode="pre-ranked", zero_policy="drop")))
     @example(("1,4.0\n1,2.0\n", rl.IngestOptions(mode="pre-ranked")))
+    @example(("a,2.0\nb,0\nc,2.0\nd,4.0\n", rl.IngestOptions(zero_policy="drop")))  # labels ('d', 'a', 'c')
+    @example(("1,a,4.0\n3,b,-1\n2,c,2.0\n", rl.IngestOptions(mode="pre-ranked", zero_policy="drop")))  # ('a', 'c')
     @example(("value\n\n4.0\n2.0\n", rl.IngestOptions()))
     @example(("\t\n \n4.0\n\t \n2.0\n\n", rl.IngestOptions(delimiter="\t")))
     @example(("a\x00b,4.0\nc,2.0\n", rl.IngestOptions()))
