@@ -8,12 +8,16 @@ to stdout or stderr respectively, and --quiet drops it. plotdata puts one
 "ranklaws: warning:" line per input or fit warning before its summary,
 since the TSV has no place for them. JSON reports serialize with sorted
 keys, two-space indent and LF line endings so identical inputs give
-byte-identical files.
+byte-identical files. Machine output is written a slice at a time as it
+is encoded, so no step holds its whole text.
 
-Exit codes: 0 success, 1 unreadable or invalid input data or a size
-that cannot be allocated, 2 fit failure, 64 bad flags or flag-supplied
-parameters (generate values outside double range and lengths past 2**53
-too). Nothing is written to stdout on a nonzero exit.
+Exit codes: 0 success, 1 unreadable or invalid input data, a size that
+cannot be allocated or a failed write, 2 fit failure, 64 bad flags or
+flag-supplied parameters (generate values outside double range and
+lengths past 2**53 too). Every check behind exit 1, 2 or 64 runs before
+the first byte of output, so nothing is written to stdout on such an
+exit; only a write that fails partway (a full disk, a closed pipe) exits
+1 after leaving the bytes written so far.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 # OpenBLAS reads this once, when numpy loads, and otherwise starts one
 # busy-waiting worker thread per extra core. A CLI process makes no BLAS
@@ -33,6 +38,8 @@ import sys
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np
 
 from . import __version__, models
 from .errors import FitError, ValidationError
@@ -140,13 +147,21 @@ def _read_series(args) -> tuple[RankedSeries, list[str], str]:
     return series, warnings, digest
 
 
-def _emit(args, payload: str, summary: str | None) -> int:
+def _emit(args, chunks, summary: str | None) -> int:
+    """Write the machine output, an iterable of text chunks, then the summary.
+
+    Each chunk is written as it is made, so no step holds the whole text.
+    Every check that can fail the command has run before the first chunk.
+    A write that fails partway, say on a full disk or a closed pipe, exits
+    1 and leaves what was written so far: a truncated --output file or
+    truncated stdout.
+    """
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         dest = sys.stdout
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         dest = sys.stderr
     if summary is not None and not args.quiet:
         dest.write(summary + "\n")
@@ -159,13 +174,13 @@ def _fit_payload(rep: FitReport) -> dict:
         "params": dataclasses.asdict(rep.params),
         "r_squared": rep.r_squared,
         "log_sse": rep.log_sse,
-        "residuals": rep.residuals.tolist(),
+        "residuals": rep.residuals,
         "n": rep.n,
         "warnings": list(rep.warnings),
     }
 
 
-def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, payload) -> str:
+def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, payload) -> Iterator[str]:
     doc = {
         "tool_version": __version__,
         "input_digest": digest,
@@ -180,48 +195,47 @@ _SCALARS = (str, int, float, type(None))
 _LIST_SLICE = 4096
 
 
-def _json(obj) -> str:
-    """Return ``json.dumps(obj, sort_keys=True, indent=2)`` plus a final newline, for str-keyed ``obj``.
+def _json(obj) -> Iterator[str]:
+    """Yield ``json.dumps(obj, sort_keys=True, indent=2)`` plus a final newline, in chunks, for str-keyed ``obj``.
 
-    ``json.dumps`` with an indent encodes every value in pure Python; its C
-    encoder runs only without one. This walks the containers itself and
-    hands each non-empty list of scalars, such as the residuals, to the C
-    encoder in one call with the indented item separator. Every piece, the
-    newline too, goes into one list, joined once, so the text of a large
-    list is copied once rather than once per enclosing container.
+    A float64 ndarray is encoded as the list of its values. ``json.dumps``
+    with an indent encodes every value in pure Python; its C encoder runs
+    only without one. This walks the containers itself and hands each
+    non-empty list of scalars, such as the residuals, to the C encoder one
+    slice of _LIST_SLICE items at a time, with the indented item
+    separator; an ndarray slice becomes a list through ``.tolist()``. So no
+    chunk, and no list built here, grows with the length of a list.
     """
-    parts: list[str] = []
-    _encode(obj, "", parts)
-    parts.append("\n")
-    return "".join(parts)
+    yield from _encode(obj, "")
+    yield "\n"
 
 
-def _encode(obj, indent: str, parts: list[str]) -> None:
+def _encode(obj, indent: str) -> Iterator[str]:
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
-            parts.append(sep + json.dumps(key) + ": ")
-            _encode(value, inner, parts)
+            yield sep + json.dumps(key) + ": "
+            yield from _encode(value, inner)
             sep = ",\n" + inner
-        parts.append("\n" + indent + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if all(issubclass(t, _SCALARS) for t in set(map(type, obj))):
-            # Encoded in slices, so cutting off the brackets copies one
-            # slice's text at a time rather than the whole list's.
-            sep = "[\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
+        sep = "[\n" + inner
+        if isinstance(obj, np.ndarray) or all(issubclass(t, _SCALARS) for t in set(map(type, obj))):
             for i in range(0, len(obj), _LIST_SLICE):
-                parts.append(sep + json.dumps(obj[i : i + _LIST_SLICE], separators=(",\n" + inner, ": "))[1:-1])
+                items = obj[i : i + _LIST_SLICE]
+                if isinstance(items, np.ndarray):
+                    items = items.tolist()
+                yield sep + json.dumps(items, separators=(",\n" + inner, ": "))[1:-1]
                 sep = ",\n" + inner
         else:
-            sep = "[\n" + inner
             for item in obj:
-                parts.append(sep)
-                _encode(item, inner, parts)
+                yield sep
+                yield from _encode(item, inner)
                 sep = ",\n" + inner
-        parts.append("\n" + indent + "]")
+        yield "\n" + indent + "]"
     else:
-        parts.append(json.dumps(obj))
+        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
 def _format_params(params: models.ModelParams) -> str:
@@ -236,8 +250,10 @@ def _format_value(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-def _series_csv(series: RankedSeries) -> str:
-    return "".join([_format_value(v) + "\n" for v in series.values.tolist()])
+def _series_csv(series: RankedSeries) -> Iterator[str]:
+    """Yield the value-per-line CSV, one _LIST_SLICE of lines per chunk."""
+    for i in range(0, series.n, _LIST_SLICE):
+        yield "".join([_format_value(v) + "\n" for v in series.values[i : i + _LIST_SLICE].tolist()])
 
 
 def _cmd_fit(args) -> int:
@@ -296,13 +312,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_plotdata(args) -> int:
     series, warnings, _ = _read_series(args)
     rep = fit_model(series, args.model)
-    columns = zip(series.values.tolist(), models.model_values(rep.params, series.n).tolist(), rep.residuals.tolist())
-    lines = ["rank\tobserved\tfitted\tlog_residual"]
-    for rank, (observed, fitted, residual) in enumerate(columns, start=1):
-        lines.append(f"{rank}\t{_format_value(observed)}\t{_format_value(fitted)}\t{_format_value(residual)}")
+    fitted = models.model_values(rep.params, series.n)
     notes = "".join(f"ranklaws: warning: {w}\n" for w in [*warnings, *rep.warnings])
     summary = f"{notes}{rep.model}: {_format_params(rep.params)} R^2={rep.r_squared:.4f}"
-    return _emit(args, "\n".join(lines) + "\n", summary)
+    return _emit(args, _plot_table(series.values, fitted, rep.residuals), summary)
+
+
+def _plot_table(observed: np.ndarray, fitted: np.ndarray, residuals: np.ndarray) -> Iterator[str]:
+    """Yield the plotdata TSV: its header, then one _LIST_SLICE of rows per chunk."""
+    yield "rank\tobserved\tfitted\tlog_residual\n"
+    for i in range(0, observed.size, _LIST_SLICE):
+        part = slice(i, i + _LIST_SLICE)
+        rows = zip(observed[part].tolist(), fitted[part].tolist(), residuals[part].tolist())
+        yield "".join([f"{rank}\t{_format_value(o)}\t{_format_value(f)}\t{_format_value(r)}\n"
+                       for rank, (o, f, r) in enumerate(rows, start=i + 1)])
 
 
 # Exit code and message prefix per exception class; a class not listed takes its nearest listed base's.

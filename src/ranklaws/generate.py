@@ -1,6 +1,6 @@
 """Synthetic ranked series: model curves with noise, and a Simon process.
 
-Both generators own a fresh seeded PCG64 generator per call (numpy's
+Both generators seed fresh PCG64 generators per call (numpy's
 default_rng), so identical inputs give byte-identical series within a
 build and nothing global is touched.
 """
@@ -14,10 +14,6 @@ import numpy as np
 from . import accel, models
 from .errors import Checked
 from .ingest import RankedSeries, rank_raw
-
-# New-source uniforms drawn per call by simulate_simon.
-_DRAW_CHUNK = 1 << 16
-
 
 @dataclass(frozen=True)
 class NoiseSpec(Checked):
@@ -61,20 +57,42 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     The first item founds source 0. Each later step founds a new
     one-item source with probability p_new, otherwise awards the item to
     the owner of a uniformly chosen past item, i.e. to an existing source
-    with probability proportional to its count. All uniforms are drawn up
-    front, every new-source uniform before every pick uniform, so
-    ``accel.simon_owners`` resolves every owner with array operations and
-    no RNG calls. The steps-long arrays are the new-source flags (1 byte
-    per step), the pick uniforms (8) and the kernel's owners (8); the
-    new-source uniforms are drawn a chunk at a time into one small buffer.
+    with probability proportional to its count.
+
+    The uniforms form one stream: every new-source uniform, then every
+    pick uniform. The steps go in blocks of ``accel._BLOCK``. Each block
+    draws its new-source uniforms, then its pick uniforms from a second
+    generator advanced past all the new-source draws, and
+    ``accel.simon_owners`` resolves its owners. The owners, 4 bytes per
+    step below 2**31 steps and 8 from there on, are the only steps-long
+    array; items are tallied per source as they are resolved, a span of
+    blocks at a time.
     """
-    rng = np.random.default_rng(config.seed)
-    is_new = np.empty(config.steps - 1, dtype=bool)
-    buf = np.empty(min(_DRAW_CHUNK, is_new.size))
-    for lo in range(0, is_new.size, _DRAW_CHUNK):
-        u_new = rng.random(out=buf[: is_new.size - lo])
-        np.less(u_new, float(config.p_new), out=is_new[lo : lo + u_new.size])
-    u_pick = rng.random(config.steps - 1)
-    owners = accel.simon_owners(is_new, u_pick)
-    counts = np.bincount(owners)
-    return rank_raw(counts.astype(np.float64))
+    return rank_raw(_source_counts(config).astype(np.float64))
+
+
+def _source_counts(config: SimonConfig) -> np.ndarray:
+    """Items per source of one run of the process, sources in founding order."""
+    steps = int(config.steps)  # advance() overflows on a numpy integer
+    rng_new = np.random.default_rng(config.seed)
+    rng_pick = np.random.default_rng(config.seed)
+    rng_pick.bit_generator.advance(steps - 1)
+    owners = np.zeros(steps, dtype=np.int32 if steps <= 2**31 else np.int64)
+    counts = np.ones(1, dtype=np.int64)  # item 0 founds source 0
+    newest, counted = 0, 1  # the last source founded; the items counted
+    uniforms = np.empty(min(accel._BLOCK, steps - 1))
+    flags = np.empty(uniforms.size, dtype=bool)
+    for lo in range(1, steps, accel._BLOCK):
+        hi = min(lo + accel._BLOCK, steps)
+        u, is_new = uniforms[: hi - lo], flags[: hi - lo]
+        np.less(rng_new.random(out=u), float(config.p_new), out=is_new)
+        accel.simon_owners(is_new, rng_pick.random(out=u), owners[:hi], newest)
+        newest += int(np.count_nonzero(is_new))
+        # A tally is as long as there are sources, so each one spans at
+        # least as many items: counting costs O(steps) in all, and its int64
+        # copy of the owners it spans stays within a block or a tally.
+        if hi - counted >= newest or hi == steps:
+            tally = np.bincount(owners[counted:hi], minlength=newest + 1)
+            tally[: counts.size] += counts
+            counts, counted = tally, hi
+    return counts

@@ -9,6 +9,7 @@ exponent ranges the package is designed for (a in 0.22..0.51, b in
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -91,6 +92,25 @@ def random_series(rng: np.random.Generator, min_n: int = 4) -> rl.RankedSeries:
     if kind == 5:
         return rl.generate_synthetic(random_lavalette(rng, n), noise)
     return rl.generate_synthetic(random_beta_like(rng, n), noise)
+
+
+def traced_peak(fn, *args):
+    """Call ``fn(*args)``; return its result and the most memory it held at once, in bytes, per tracemalloc.
+
+    Memory already allocated before the call does not count; what the
+    call allocates and keeps, such as its result, does.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -32,6 +32,19 @@ def reference_simon_owners(u_new, u_pick, p_new):
 BLOCK = accel._BLOCK
 
 
+def run_kernel(is_new, u_pick, dtype=np.int64):
+    """Every owner of a run, resolved one block of BLOCK items per kernel call, as simulate_simon calls it."""
+    owners = np.zeros(is_new.shape[0] + 1, dtype=dtype)
+    newest = 0
+    for lo in range(1, owners.size, BLOCK):
+        hi = min(lo + BLOCK, owners.size)
+        block = accel.simon_owners(is_new[lo - 1 : hi - 1], u_pick[lo - 1 : hi - 1], owners[:hi], newest)
+        assert block.base is owners
+        assert block.size == hi - lo
+        newest += int(np.count_nonzero(is_new[lo - 1 : hi - 1]))
+    return owners
+
+
 class TestSimonParity:
     def test_numpy_and_loop_agree(self):
         # The loop's owners of the first steps items depend only on the
@@ -44,20 +57,21 @@ class TestSimonParity:
         for p_new in (0.05, 0.5, 0.95):
             expected = reference_simon_owners(u_new, u_pick, p_new)
             for steps in sizes:
-                a = accel.simon_owners(u_new[: steps - 1] < p_new, u_pick[: steps - 1])
-                assert a.dtype == np.int64
-                assert np.array_equal(a, expected[:steps])
+                for dtype in (np.int32, np.int64):
+                    a = run_kernel(u_new[: steps - 1] < p_new, u_pick[: steps - 1], dtype)
+                    assert a.dtype == dtype
+                    assert np.array_equal(a, expected[:steps])
 
     def test_pick_index_clamped_at_upper_edge(self):
         # u_pick of exactly 1.0 would index one past the known slots without
         # the clamp.
         u_new = np.array([0.99, 0.99])
         u_pick = np.array([1.0, 1.0])
-        owners = accel.simon_owners(u_new < 0.5, u_pick)
+        owners = run_kernel(u_new < 0.5, u_pick)
         assert owners.tolist() == [0, 0, 0]
         # Item 3 must copy item 2 (source 0); pointing at itself instead
         # would make it a root and give it the newest source, 1.
-        owners = accel.simon_owners(np.array([0.1, 0.9, 0.9]) < 0.5, np.array([0.0, 0.0, 1.0]))
+        owners = run_kernel(np.array([0.1, 0.9, 0.9]) < 0.5, np.array([0.0, 0.0, 1.0]))
         assert owners.tolist() == [0, 1, 0, 0]
 
     def test_deepest_forest_resolves_to_first_source(self):
@@ -70,7 +84,7 @@ class TestSimonParity:
         u_new[0] = 0.1
         u_pick = np.ones(steps - 1)
         u_pick[1] = 0.0
-        owners = accel.simon_owners(u_new < 0.5, u_pick)
+        owners = run_kernel(u_new < 0.5, u_pick)
         expected = np.zeros(steps, dtype=np.int64)
         expected[1] = 1
         assert np.array_equal(owners, expected)
@@ -87,7 +101,7 @@ class TestSimonParity:
         t = np.arange(BLOCK + 1, steps)
         u_pick[BLOCK:] = (t - BLOCK + 0.5) / t
         assert np.array_equal((u_pick[BLOCK:] * t).astype(np.int64), t - BLOCK)
-        owners = accel.simon_owners(u_new < 0.5, u_pick)
+        owners = run_kernel(u_new < 0.5, u_pick)
         expected = (np.arange(steps) % BLOCK == 1).astype(np.int64)
         assert np.array_equal(owners, expected)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ import ranklaws as rl
 from ranklaws import cli
 from ranklaws.cli import _format_params, main
 from ranklaws.fit import FitReport
+from conftest import traced_peak
 
 FIXTURE = str(Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv")
 
@@ -528,7 +530,14 @@ class TestCsvWriters:
 
     def test_series_csv_matches_per_element_format(self):
         series = rl.RankedSeries(np.array(self.VALUES))
-        assert cli._series_csv(series) == "".join(_reference_value(v) + "\n" for v in self.VALUES)
+        assert "".join(cli._series_csv(series)) == "".join(_reference_value(v) + "\n" for v in self.VALUES)
+
+    def test_series_csv_across_slices(self):
+        # Lines just before, on and just after the slice edges, each value on its own line.
+        values = np.arange(2 * cli._LIST_SLICE + 1, 0, -1) / 8.0
+        chunks = list(cli._series_csv(rl.RankedSeries(values)))
+        assert len(chunks) == 3
+        assert "".join(chunks) == "".join(_reference_value(v) + "\n" for v in values.tolist())
 
     def test_plotdata_matches_per_element_format(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
@@ -551,8 +560,10 @@ _json_floats = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]),
     st.floats().map(np.float64),
 )
+# float64 arrays, such as the residuals, are encoded as the list of their values.
+_json_arrays = st.lists(_json_floats, max_size=8).map(lambda xs: np.array(xs, dtype=np.float64))
 _json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), _json_text, _json_floats),
+    st.one_of(st.none(), st.booleans(), st.integers(), _json_text, _json_floats, _json_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=6),
         st.lists(children, max_size=6).map(tuple),
@@ -565,9 +576,12 @@ _json_values = st.recursive(
 class TestReportEncoding:
     @given(st.one_of(st.dictionaries(_json_text, _json_values), _json_values))
     @example({"residuals": [i / 7 for i in range(2 * cli._LIST_SLICE + 1)], "rows": [[1.5, None, "x"]] * 3})
+    @example({"residuals": np.arange(2 * cli._LIST_SLICE + 1) / 7, "empty": np.array([]),
+              "pair": np.array([-0.0, 5e-324])})
     @settings(max_examples=200, deadline=None)
     def test_matches_indented_json_dumps(self, obj):
-        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        expected = json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        assert "".join(cli._json(obj)) == expected
 
     @pytest.mark.parametrize("argv", [["fit", FIXTURE, "--model", "beta-like"], ["compare", FIXTURE]])
     def test_real_documents_match_indented_json_dumps(self, capsys, monkeypatch, argv):
@@ -581,7 +595,8 @@ class TestReportEncoding:
         monkeypatch.setattr(cli, "_json", spy)
         assert main([*argv, "--quiet"]) == 0
         assert len(docs) == 1
-        assert capsys.readouterr().out == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+        expected = json.dumps(docs[0], sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_document_layout(self):
         rep = FitReport(model="zipf", params=rl.ZipfParams(k=2.0, alpha=1.5), r_squared=0.75, log_sse=0.05,
@@ -589,7 +604,7 @@ class TestReportEncoding:
         series = rl.RankedSeries([3.0, 1.5])
         doc = cli._document("0123456789abcdef", series, ["line 2: dropped non-positive value 0.0"], "fit",
                             cli._fit_payload(rep))
-        assert doc == f"""{{
+        assert "".join(doc) == f"""{{
   "fit": {{
     "log_sse": 0.05,
     "model": "zipf",
@@ -619,6 +634,35 @@ class TestReportEncoding:
   ]
 }}
 """
+
+    def test_report_written_in_slices(self, tmp_path):
+        # Writing holds one slice of residuals as text at a time, never a
+        # list of every residual or the whole document.
+        n = 200_000
+        series = rl.generate_synthetic(rl.BetaLikeParams(k=0.0273, a=0.4058, b=0.991, n=n),
+                                       rl.NoiseSpec(sigma=0.1, seed=7))
+        rep = rl.fit_model(series, "beta-like")
+        out = tmp_path / "fit.json"
+        args = cli._build_parser().parse_args(["fit", "in.csv", "--model", "beta-like", "--output", str(out)])
+        chunks = cli._document("0123456789abcdef", series, [], "fit", cli._fit_payload(rep))
+        code, peak = traced_peak(cli._emit, args, chunks, None)
+        assert code == 0
+        assert peak < n * 8
+        assert json.loads(out.read_text())["fit"]["residuals"] == rep.residuals.tolist()
+
+    def test_write_failing_partway_is_exit_1(self, capsys, monkeypatch):
+        # Output goes out a slice at a time: a write that fails after the
+        # first slice exits 1 and leaves that slice behind.
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert main(["simulate", "--p-new", "0.1", "--steps", "100000", "--seed", "1"]) == 1
+        assert len(sys.stdout.getvalue().splitlines()) == cli._LIST_SLICE
+        assert capsys.readouterr().err == "ranklaws: error: [Errno 28] No space left on device\n"
 
     def test_reports_never_use_pure_python_encoder(self, capsys, monkeypatch):
         def pure_python_encoder(*args, **kwargs):

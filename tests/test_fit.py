@@ -10,7 +10,7 @@ import pytest
 
 import ranklaws as rl
 from ranklaws import accel
-from conftest import random_beta_like, random_lavalette, random_series, random_zipf
+from conftest import random_beta_like, random_lavalette, random_series, random_zipf, traced_peak
 
 
 class TestExactRecovery:
@@ -364,3 +364,17 @@ class TestCompareModels:
         assert tuple(rep.model for rep in comp.reports) == rl.MODEL_TAGS
         with pytest.raises(KeyError):
             comp.report("weibull")
+
+
+class TestPeakMemory:
+    def test_beta_like_fit_holds_few_copies_of_the_series(self):
+        # Beyond the series: the (n, 2) design and the log values, both
+        # centered in place, and lstsq's copies of them (6 n doubles); then
+        # the log values and the law, its log and the residuals in one
+        # buffer. A column or a ufunc step not done in place passes 8.
+        n = 200_000
+        series = rl.generate_synthetic(rl.BetaLikeParams(k=0.0273, a=0.4058, b=0.991, n=n),
+                                       rl.NoiseSpec(sigma=0.1, seed=7))
+        rep, peak = traced_peak(rl.fit_model, series, "beta-like")
+        assert rep.n == n
+        assert peak <= 8 * n * 8

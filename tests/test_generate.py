@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ranklaws as rl
-from ranklaws import generate
+from ranklaws import accel
+from conftest import traced_peak
 from test_accel import reference_simon_owners
 
 GOLDEN = Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv"
@@ -117,10 +117,11 @@ class TestSimulateSimon:
         assert series.n < steps / 4
         assert series.values[0] > 10 * np.median(series.values)
 
-    @pytest.mark.parametrize("steps", [generate._DRAW_CHUNK, generate._DRAW_CHUNK + 2])
+    @pytest.mark.parametrize("steps", [accel._BLOCK, accel._BLOCK + 2])
     def test_uniforms_drawn_in_one_stream(self, steps):
-        # The new-source uniforms are drawn a chunk at a time; the result
-        # must equal one draw of all of them, then one of all the picks.
+        # Both kinds of uniforms are drawn a block at a time, the picks from
+        # a second generator; the result must equal one draw of all the
+        # new-source uniforms, then one of all the picks.
         rng = np.random.default_rng(5)
         u_new, u_pick = rng.random(steps - 1), rng.random(steps - 1)
         owners = reference_simon_owners(u_new, u_pick, 0.3)
@@ -128,23 +129,13 @@ class TestSimulateSimon:
         assert rl.simulate_simon(rl.SimonConfig(p_new=0.3, steps=steps, seed=5)) == expected
 
     def test_peak_memory_per_step(self):
-        # Steps-long arrays: the new-source flags (1 byte), the pick
-        # uniforms (8) and the owners (8); the rest is per block or per
-        # source. Holding the new-source uniforms or a second int64 array
-        # would pass 24.
+        # The one steps-long array is the owners (4 bytes); the rest is per
+        # block (about 2 MB) or per source (about 0.1 sources per step).
+        # Holding all the pick uniforms (8 bytes) or an int64 copy of the
+        # owners, as np.bincount(owners) makes, would pass 10.
         steps = 10**6
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            rl.simulate_simon(rl.SimonConfig(p_new=0.1, steps=steps, seed=0))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak <= 24 * steps
+        _, peak = traced_peak(rl.simulate_simon, rl.SimonConfig(p_new=0.1, steps=steps, seed=0))
+        assert peak <= 10 * steps
 
     def test_selection_is_proportional_to_counts(self):
         # Freeze a two-source prefix (source 0 holds 2 units, source 1 holds
@@ -157,7 +148,8 @@ class TestSimulateSimon:
         hits = 0
         u_pick = rng.random(trials)
         for u in u_pick:
-            owners = simon_owners(np.array([0.9, 0.1, 0.9]) < 0.5, np.array([0.0, 0.0, u]))
+            owners = np.zeros(4, dtype=np.int64)
+            simon_owners(np.array([0.9, 0.1, 0.9]) < 0.5, np.array([0.0, 0.0, u]), owners, 0)
             # owners[0] = 0, owners[1] copies slot 0, owners[2] = 1 (new),
             # owners[3] picks uniformly over the first three slots.
             assert owners[1] == 0 and owners[2] == 1
