@@ -203,7 +203,8 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     minimum, the search runs to whichever end it meets; so its point is
     compared with both ends, and the lowest SSE of the three wins (the
     search's point on a tie). A rho at or near an end is flagged as a
-    warning on the report.
+    warning on the report that names the end and says whether the search
+    itself converged there or the end comparison beat the search's point.
     """
     _require_length(series, _param_count(models.MandelbrotParams) + 1, "mandelbrot fit")
     y = np.log(series.values)
@@ -225,13 +226,20 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
             fd = objective(d)
-    rho = min((a + b) / 2.0, lo, hi, key=objective)
+    mid = (a + b) / 2.0
+    rho = min(mid, lo, hi, key=objective)
 
     slope = accel.mandelbrot_profile(y, rho)[0]
     warnings: tuple[str, ...] = ()
     edge = 1e-6 * (hi - lo)
     if rho <= lo + edge or rho >= hi - edge:
-        warnings = (f"rho search converged at the bracket edge (rho={rho:.6g}); fit may be unreliable",)
+        end = f"lower end of the bracket, {lo:g}" if rho <= lo + edge else "upper end of the bracket, 10 N"
+        if abs(mid - rho) <= edge:  # the search itself ran to this end
+            text = f"rho search converged at the {end} (rho={rho:.6g})"
+        else:
+            text = (f"rho is the {end} (rho={rho:.6g}), taken by the end comparison over the search's own "
+                    f"point rho={mid:.6g}")
+        warnings = (f"{text}; fit may be unreliable",)
     params = models.MandelbrotParams(rho=rho, epsilon=slope - 1.0, n=series.n)
     return _finalize(series, params, warnings)
 

@@ -516,7 +516,8 @@ class TestPlotdataCommand:
         assert main(["plotdata", str(holes), "--model", "mandelbrot"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err[0] == dropped
-        assert err[1].startswith("ranklaws: warning: rho search converged at the bracket edge")
+        assert err[1] == ("ranklaws: warning: rho search converged at the upper end of the bracket, 10 N (rho=40); "
+                          "fit may be unreliable")
         assert err[2].startswith("mandelbrot: rho=")
         assert len(err) == 3
 

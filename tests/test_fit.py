@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import pytest
 import ranklaws as rl
 from ranklaws import accel
 from conftest import random_beta_like, random_lavalette, random_series, random_zipf, traced_peak
+
+FIXTURE = Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv"
 
 
 class TestExactRecovery:
@@ -281,7 +284,18 @@ class TestOlsProperties:
         rep = rl.fit_mandelbrot(rl.RankedSeries(np.array(self.LOW_EDGE_VALUES)))
         assert rep.params.rho == -0.99
         assert rep.log_sse == pytest.approx(65.623, abs=1e-3)
-        assert any("bracket edge" in w for w in rep.warnings)
+        # The search ran to the upper end; the end comparison took the lower one.
+        assert rep.warnings == ("rho is the lower end of the bracket, -0.99 (rho=-0.99), taken by the end comparison "
+                                "over the search's own point rho=160; fit may be unreliable",)
+
+    def test_mandelbrot_upper_end_warning_on_fixture(self):
+        # The search itself runs to 10 N = 2000; the end comparison then
+        # keeps the end, which lies within the warning's edge of its point.
+        series, _ = rl.parse_csv(FIXTURE.read_text(), rl.IngestOptions())
+        rep = rl.fit_mandelbrot(series)
+        assert rep.params.rho == 2000.0
+        assert rep.warnings == ("rho search converged at the upper end of the bracket, 10 N (rho=2000); "
+                                "fit may be unreliable",)
 
     def test_mandelbrot_no_worse_than_log_grid(self):
         # A fit is the best point of its bracket: no point of a 400-point log
@@ -318,7 +332,8 @@ class TestOlsProperties:
         # A strongly tail-bent series pushes rho to the top of the bracket.
         series = rl.curve(rl.BetaLikeParams(k=0.0273, a=0.4058, b=0.991, n=100))
         rep = rl.fit_mandelbrot(series)
-        assert any("bracket edge" in w for w in rep.warnings)
+        assert rep.warnings == ("rho search converged at the upper end of the bracket, 10 N (rho=1000); "
+                                "fit may be unreliable",)
 
 
 class TestCompareModels:
