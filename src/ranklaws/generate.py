@@ -68,6 +68,7 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     array; items are tallied per source as they are resolved, a span of
     blocks at a time.
     """
+    # The owners are freed when _source_counts returns, before the ranking.
     return rank_raw(_source_counts(config).astype(np.float64))
 
 

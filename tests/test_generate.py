@@ -128,6 +128,15 @@ class TestSimulateSimon:
         expected = rl.rank_raw(np.bincount(owners).astype(np.float64))
         assert rl.simulate_simon(rl.SimonConfig(p_new=0.3, steps=steps, seed=5)) == expected
 
+    def test_counts_tallied_across_block_spans(self):
+        # With nearly every step a new source, there are more sources than
+        # items in a block, so one tally spans several blocks.
+        steps = 4 * accel._BLOCK + 3
+        rng = np.random.default_rng(8)
+        owners = reference_simon_owners(rng.random(steps - 1), rng.random(steps - 1), 0.95)
+        expected = rl.rank_raw(np.bincount(owners).astype(np.float64))
+        assert rl.simulate_simon(rl.SimonConfig(p_new=0.95, steps=steps, seed=8)) == expected
+
     def test_peak_memory_per_step(self):
         # The one steps-long array is the owners (4 bytes); the rest is per
         # block (about 2 MB) or per source (about 0.1 sources per step).
