@@ -1,9 +1,11 @@
-"""Hot numeric kernels, one numpy implementation each.
+"""The numeric kernels of the Simon process and the mandelbrot fit.
 
-Two kernels dominate runtime: the preferential-attachment allocation of
-the Simon process and the profiled no-intercept regression evaluated once
-per golden-section probe. Callers look both up on this module at call
-time, so a profiler can wrap them here.
+``simon_owners`` allocates one block of Simon steps to sources, and
+``mandelbrot_profile`` is the no-intercept regression evaluated once per
+golden-section probe of rho. Neither dominates a CLI run, where parsing
+and encoding do. They are kept apart from their callers, which look them
+up on this module at call time, so that the benchmark's layer trace can
+time them here.
 
 The Simon kernel resolves one block of items per call. Its caller holds
 the owners of every item, the only steps-long array, and draws each
@@ -47,35 +49,22 @@ def simon_owners(is_new: np.ndarray, u_pick: np.ndarray, owners: np.ndarray, new
     sized.
     """
     lo, hi = owners.shape[0] - is_new.shape[0], owners.shape[0]
-    index = np.arange(lo, hi, dtype=np.int64)
-    # The product is cast to int64 a buffer at a time, never held whole.
-    pick = np.multiply(u_pick, index, out=np.empty_like(index), casting="unsafe")
+    index = np.arange(lo, hi)
     # int(u*t) with u just below 1.0 can round up to t; clamp to t-1.
-    index -= 1
-    np.minimum(pick, index, out=pick)
-    # Each root's value: the owner already fixed for a pick before the
-    # block, or for a new source its number. A pick inside the block reads
-    # a placeholder that the jumping below bypasses. Every index is in
-    # range; mode="clip" lets take write straight into out, where the
-    # default mode="raise" buffers a whole extra array.
-    value = np.take(owners, pick, mode="clip")
-    sources = np.cumsum(is_new, dtype=owners.dtype)
-    sources += newest
-    np.copyto(value, sources, where=is_new)
-    del sources
-    # Indices now count from the block start. The roots, new sources and
-    # picks before the block, point at themselves.
-    index -= lo - 1
-    pick -= lo
-    np.copyto(pick, index, where=is_new | (pick < 0))
-    parent, nxt = pick, index
+    pick = np.minimum((u_pick * index).astype(np.int64), index - 1)
+    # Each root's value: its source number for a new source, else the
+    # owner already fixed for a pick before the block. A pick inside the
+    # block reads a placeholder that the jumping below bypasses.
+    value = np.where(is_new, newest + np.cumsum(is_new), owners[pick])
+    # Pointers count from the block start; the roots point at themselves.
+    parent = np.where(is_new | (pick < lo), index, pick) - lo
     while True:
-        np.take(parent, parent, out=nxt, mode="clip")
-        if np.array_equal(nxt, parent):
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
             break
-        parent, nxt = nxt, parent
+        parent = jumped
     block = owners[lo:]
-    np.take(value, parent, out=block, mode="clip")
+    block[:] = value[parent]
     return block
 
 

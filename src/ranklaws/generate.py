@@ -65,35 +65,25 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     generator advanced past all the new-source draws, and
     ``accel.simon_owners`` resolves its owners. The owners, 4 bytes per
     step below 2**31 steps and 8 from there on, are the only steps-long
-    array; items are tallied per source as they are resolved, a span of
-    blocks at a time.
+    array. They are tallied per source once every block is resolved, and
+    freed before the ranking.
     """
-    # The owners are freed when _source_counts returns, before the ranking.
-    return rank_raw(_source_counts(config).astype(np.float64))
-
-
-def _source_counts(config: SimonConfig) -> np.ndarray:
-    """Items per source of one run of the process, sources in founding order."""
-    steps = int(config.steps)  # advance() overflows on a numpy integer
+    steps, p_new = int(config.steps), float(config.p_new)  # advance() overflows on a numpy integer
     rng_new = np.random.default_rng(config.seed)
     rng_pick = np.random.default_rng(config.seed)
     rng_pick.bit_generator.advance(steps - 1)
     owners = np.zeros(steps, dtype=np.int32 if steps <= 2**31 else np.int64)
-    counts = np.ones(1, dtype=np.int64)  # item 0 founds source 0
-    newest, counted = 0, 1  # the last source founded; the items counted
-    uniforms = np.empty(min(accel._BLOCK, steps - 1))
-    flags = np.empty(uniforms.size, dtype=bool)
+    newest = 0  # the last source founded; item 0 founds source 0
     for lo in range(1, steps, accel._BLOCK):
         hi = min(lo + accel._BLOCK, steps)
-        u, is_new = uniforms[: hi - lo], flags[: hi - lo]
-        np.less(rng_new.random(out=u), float(config.p_new), out=is_new)
-        accel.simon_owners(is_new, rng_pick.random(out=u), owners[:hi], newest)
+        is_new = rng_new.random(hi - lo) < p_new
+        accel.simon_owners(is_new, rng_pick.random(hi - lo), owners[:hi], newest)
         newest += int(np.count_nonzero(is_new))
-        # A tally is as long as there are sources, so each one spans at
-        # least as many items: counting costs O(steps) in all, and its int64
-        # copy of the owners it spans stays within a block or a tally.
-        if hi - counted >= newest or hi == steps:
-            tally = np.bincount(owners[counted:hi], minlength=newest + 1)
-            tally[: counts.size] += counts
-            counts, counted = tally, hi
-    return counts
+    # bincount copies its input to int64: a chunk no longer than the tally
+    # keeps that copy within the tally's size.
+    chunk = max(newest + 1, accel._BLOCK)
+    counts = np.zeros(newest + 1, dtype=np.int64)
+    for lo in range(0, steps, chunk):
+        counts += np.bincount(owners[lo : lo + chunk], minlength=newest + 1)
+    del owners
+    return rank_raw(counts.astype(np.float64))

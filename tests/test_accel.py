@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ranklaws import accel
+from conftest import traced_peak
 
 
 def random_kernel_inputs(rng, steps):
@@ -104,6 +105,22 @@ class TestSimonParity:
         owners = run_kernel(u_new < 0.5, u_pick)
         expected = (np.arange(steps) % BLOCK == 1).astype(np.int64)
         assert np.array_equal(owners, expected)
+
+    def test_allocates_only_block_sized_arrays(self):
+        # One block on top of a resolved prefix far longer than it: the
+        # kernel's peak is a few block-long int64 arrays, whatever the
+        # prefix. A copy of the owners, or any array as long as them, would
+        # pass the bound and differ between the two prefixes by megabytes.
+        rng = np.random.default_rng(4)
+        is_new, u_pick = rng.random(BLOCK) < 0.1, rng.random(BLOCK)
+        peaks = []
+        for prefix in (2 * 10**6, 4 * 10**6):
+            owners = np.zeros(prefix + BLOCK, dtype=np.int32)
+            block, peak = traced_peak(accel.simon_owners, is_new, u_pick, owners, 0)
+            assert block.base is owners
+            peaks.append(peak)
+        assert max(peaks) <= 8 * BLOCK * 8
+        assert peaks[1] <= peaks[0] + BLOCK
 
 
 class TestMandelbrotProfileParity:
