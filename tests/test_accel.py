@@ -110,7 +110,7 @@ class TestSimonParity:
         # One block on top of a resolved prefix far longer than it: the
         # kernel's peak is a few block-long int64 arrays, whatever the
         # prefix. A copy of the owners, or any array as long as them, would
-        # pass the bound and differ between the two prefixes by megabytes.
+        # exceed the bound and differ between the two prefixes by megabytes.
         rng = np.random.default_rng(4)
         is_new, u_pick = rng.random(BLOCK) < 0.1, rng.random(BLOCK)
         peaks = []
