@@ -8,11 +8,7 @@ exponent ranges the package is designed for (a in 0.22..0.51, b in
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
-import platform
 import tracemalloc
 
 import numpy as np
@@ -117,30 +113,17 @@ def traced_peak(fn, *args):
             tracemalloc.stop()
 
 
-def numpy_build() -> tuple[str, str, str | None]:
-    """numpy's version, the SIMD level its dispatch runs at, and the OpenBLAS core it runs.
+def cpu_features() -> dict[str, bool]:
+    """numpy's table of the CPU features its SIMD dispatch may use.
 
-    The level is the highest of X86_V4, X86_V3 and X86_V2 that numpy's
-    ``__cpu_features__`` reports enabled (NPY_DISABLE_CPU_FEATURES can
-    lower it), else the machine name. The core is the kernel set OpenBLAS
-    picked for the CPU (OPENBLAS_CORETYPE can change it), read from the
-    scipy-openblas library a numpy wheel bundles; None without one. Last
-    bits of exp, log and lstsq follow both.
+    NPY_DISABLE_CPU_FEATURES turns entries off. The last bits of exp and
+    log follow the highest X86 level left on.
     """
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
-    level = next((name for name in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(name)),
-                 platform.machine())
-    core = None
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")):
-        lib = ctypes.CDLL(path)  # the copy numpy already loaded
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-            if hasattr(lib, name):
-                getattr(lib, name).restype = ctypes.c_char_p
-                core = getattr(lib, name)().decode()
-    return np.__version__, level, core
+    return __cpu_features__
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -10,15 +10,13 @@ CLI fixes to one only when numpy is not yet loaded. So every command runs
 in one fresh interpreter, as the CLI would, with the thread variables
 removed from its environment.
 
-The last digits also follow numpy's SIMD dispatch, whose exp and log at
-X86_V4 differ from those at X86_V3 and below, and the kernels OpenBLAS
-picks for the CPU, which sum lstsq and dot products in their own order.
-So the digests are held per numpy version, SIMD level and OpenBLAS core,
-as ``conftest.numpy_build`` reports them, and the tests skip where no
-table applies. All were taken on one AVX-512 machine with the numpy 2.4.6
-wheel (OpenBLAS 0.3.31); the lower levels and the Haswell core, which
-AVX2 CPUs run, were forced with NPY_DISABLE_CPU_FEATURES and
-OPENBLAS_CORETYPE. X86_V2 gives the same bytes as X86_V3.
+The last digits also follow the CPU: numpy's SIMD dispatch, whose exp
+and log at X86_V4 differ from those at X86_V3, and the kernel set
+OpenBLAS picks, which sums lstsq and dot products in its own order. So
+the child is held to one level and one core, X86_V3 and OpenBLAS's
+Haswell kernels, which every x86 CPU with AVX2 can run, and the digests
+are those of the numpy 2.4.6 wheel (OpenBLAS 0.3.31) there. The tests
+skip on any other numpy and on CPUs without X86_V3.
 """
 
 from __future__ import annotations
@@ -29,20 +27,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ranklaws
-from conftest import numpy_build
+from conftest import cpu_features
 
 FIXTURE = str(Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv")
 
 # The paper's physics row at n = 2*10^5, under lognormal noise.
 LARGE = ["generate", "--model", "beta-like", "--k", "0.0273", "--a", "0.4058", "--b", "0.991",
          "--n", "200000", "--sigma", "0.1", "--seed", "7", "--output", "{tmp}/large.csv"]
+LARGE_DIGEST = "6dcdbc21858a676b8ffe6365cf5a47e92de804da20ccdcf01027f2a56d73b987"
 
 # A zipf curve at n = 10^6, under lognormal noise.
 MILLION = ["generate", "--model", "zipf", "--k", "1000", "--alpha", "1.1", "--n", "1000000",
            "--sigma", "0.5", "--seed", "11"]
+MILLION_DIGEST = "7fd85633c104199256b784de785394ced0215caf2a238084f461f0a7b0300f0c"
 
 COMMANDS = {
     "fit-zipf": ["fit", "--model", "zipf"],
@@ -59,82 +60,33 @@ SOURCES = {"fixture": FIXTURE, "large": "{tmp}/large.csv"}
 # Commands also run with --output, whose file must hold the stdout bytes.
 TO_FILE = ("fit-beta-like", "plotdata-mandelbrot")
 
-# Case -> SHA-256 of the output, per (numpy version, SIMD level, OpenBLAS
-# core). The mandelbrot fit of both inputs ends at the upper end of its rho
-# bracket, so the fit-mandelbrot and compare reports carry that warning's
-# text.
-_V4_SKYLAKEX = {
-    "large-series": "5ea63c356cc3c528ec553d3e938f5ddcb0463c0399e792d425bfa4aa17541b04",
-    "million-series": "4368cba03a20bee924bf683714b7b6e737e4f28f578664d83b9f465761e22bce",
-    "fixture-fit-zipf": "458d683e6d957bc157ebc87242947987f2eba5a2619ed2af2302fee49b98b1c3",
-    "fixture-fit-mandelbrot": "a438758c49df97ca32a9d40eb2ae268687e63f08065fd907aec275009003d6f7",
-    "fixture-fit-lavalette": "ecca01cfcb78ea6df68d1ffba070f827ca89b83feeff7caed611bdb6324aedab",
-    "fixture-fit-beta-like": "54ad7135ddb7f0e69ad9c18f4628b0032e9e52bc44224bc46e9904ebb940e190",
-    "fixture-compare": "1e805ad4d8aeab3b642de4867d2132f9990500b9c3660193a14b39cb8b1f65e5",
-    "fixture-plotdata-zipf": "89113351a41da1f852897865929fd78aaadb2e028dddf06fde16aa2b665f8104",
-    "fixture-plotdata-mandelbrot": "a6ec893ff16a24b9b570c5d222c7a02748df29408b6696c12595eddbca47d67b",
-    "fixture-plotdata-lavalette": "cd00a3f3b43dcf8afc997c0be0f5f8956353a0ad573baf9655a287129f33320a",
-    "fixture-plotdata-beta-like": "d5a26065b2a3f96853253fec84c89ec599ef64f5590cd585ab8d517f522085de",
-    "large-fit-zipf": "60277331a983805ec7b1bfb3bf727153c29384e153e1519383895420920b43fc",
-    "large-fit-mandelbrot": "931a49ea095d6d994885887f6c3f0c3c2bc7ce3f0904dd422a08c2d5eed3e306",
-    "large-fit-lavalette": "4797f252fe4bb4054b428edbc37511877067edfe74781212d90b10a897f99519",
-    "large-fit-beta-like": "464d58dc55a79205a89acac0c388628346fb55b814ffdcbccb93a20287bd193f",
-    "large-compare": "bf33a6c75ccada26ea3476b031011f4cff1fff9e8ad60b0c9286d822866e11a3",
-    "large-plotdata-zipf": "e5cc3173163d4579082bbdf0e6f37ff7454b6683cd794aa0f86da1511b452b55",
-    "large-plotdata-mandelbrot": "af8519910bf6927b24c92a76a7a212b6266caf260e40aee836f1b023cebfaa94",
-    "large-plotdata-lavalette": "87614681f4e2079ecb87aa56a4ddf46ff7956696c7f49a2ef1ca09b7e9edac8d",
-    "large-plotdata-beta-like": "b6098af5824b391426eb14fc48af135f220c57db5e8e71534cd21dbc79a6d250",
-}
-_V3_SKYLAKEX = {
-    "large-series": "6dcdbc21858a676b8ffe6365cf5a47e92de804da20ccdcf01027f2a56d73b987",
-    "million-series": "7fd85633c104199256b784de785394ced0215caf2a238084f461f0a7b0300f0c",
-    "fixture-fit-zipf": "6563a3299f9f46c2e33ecc8b559c01f3756ea6afcd90d333a86e5ba4f655e858",
-    "fixture-fit-mandelbrot": "96983632d51b3762e24e546cd462d5e7579afbb0845f34fbb3a42298e74bfb6e",
-    "fixture-fit-lavalette": "3809d2628843411efa05ef920fa92e524f932aa2fa153991e7dcea53b395362a",
-    "fixture-fit-beta-like": "543944e816268dd556289cde2b6666a800c89965a7f98a4667672d5f0d6586d7",
-    "fixture-compare": "9d84376f2bc6800619d5ae5dda2f669134e072a8ac524d6970a9369175d6356f",
-    "fixture-plotdata-zipf": "8b11956dbe99246e4fe7e22b6d30b350f305b716c0b358f9f02dc31aa41eaf13",
-    "fixture-plotdata-mandelbrot": "f094a7632ec251cf86a0b69ff82d01df6f95377a4ed84d7512bfd742dc17d058",
-    "fixture-plotdata-lavalette": "5cfa2d31deff0301365e79b9c19c6305c3ba4eff89909b960c58373a2f4c50b1",
-    "fixture-plotdata-beta-like": "ec004f3c5183f451ede9fa8f9c315ad969a77da570fa34ca3e172646dcff82b5",
-    "large-fit-zipf": "3056168d41737542e75f87cf5d4cec71525dc3d0f828f534e3d5401dd9d36e3a",
-    "large-fit-mandelbrot": "e88d33006b3553d49604c41345297f2e0957adc5f3ac1344f7153d9b91585e53",
-    "large-fit-lavalette": "8b72c38a44b818e184bdb5496aa28f928577d119027e54c5b91878b2b9b03074",
-    "large-fit-beta-like": "547aef34309dbd30c7c82cc7ff92abf9af1b18add12467c434b065756ba49a25",
-    "large-compare": "ebf4bdb275be343e70cc9ed01e90d706277b0d93d4bfade15efcfef902abd50c",
-    "large-plotdata-zipf": "2833415d958622ea893b6513d3015408c529587b6b9e26d99b7f3814133524b7",
-    "large-plotdata-mandelbrot": "0d959af5a5b1ee3be7a1211c022d2fc6075b828ea1dc2fd52158819c264a1a58",
-    "large-plotdata-lavalette": "1c3817ba49e5527687bf31891236d2caf93937998a1718277e2d247aee586966",
-    "large-plotdata-beta-like": "5c3ebf0d63fc638357f049378617e6aebe288e14eb12e45a2c31e23d6f93ce7c",
-}
-_V3_HASWELL = {
-    "large-series": "6dcdbc21858a676b8ffe6365cf5a47e92de804da20ccdcf01027f2a56d73b987",
-    "million-series": "7fd85633c104199256b784de785394ced0215caf2a238084f461f0a7b0300f0c",
-    "fixture-fit-zipf": "6563a3299f9f46c2e33ecc8b559c01f3756ea6afcd90d333a86e5ba4f655e858",
-    "fixture-fit-mandelbrot": "0889857895351f90d5ea004e3191d7d3d443befd466c24d323d0de0ab6ff9a3a",
-    "fixture-fit-lavalette": "3809d2628843411efa05ef920fa92e524f932aa2fa153991e7dcea53b395362a",
-    "fixture-fit-beta-like": "bc330dd16b7eaadb067c367db3a69837cfea7de1d2d4ae6848cee8419279ae8f",
-    "fixture-compare": "d227f79e02fc31acec5041ed9aa90d875fa81504a4edc6e1c390a3f338b1ee9c",
-    "fixture-plotdata-zipf": "8b11956dbe99246e4fe7e22b6d30b350f305b716c0b358f9f02dc31aa41eaf13",
-    "fixture-plotdata-mandelbrot": "b53d496130d4f134663c5d7f09bf48597989cdf39a15f0c3083938a6fbbdb024",
-    "fixture-plotdata-lavalette": "5cfa2d31deff0301365e79b9c19c6305c3ba4eff89909b960c58373a2f4c50b1",
-    "fixture-plotdata-beta-like": "ec004f3c5183f451ede9fa8f9c315ad969a77da570fa34ca3e172646dcff82b5",
-    "large-fit-zipf": "6ad8f2156c91c167c67a791730290cc7bad5e83856658b03db43da1bfebfb114",
-    "large-fit-mandelbrot": "548790bb17b951fb2c368bc64124cf8465e3184de0ad6331d69999527677e8d9",
-    "large-fit-lavalette": "147c6e09393328332230648fd4fb04bd4785b58b993d91e160a5a0b3436bf730",
-    "large-fit-beta-like": "3e86412fc635837daedb8270ed67c78c9f055a6110cf7ab59147e3a251b0b607",
-    "large-compare": "30d339caebef3cc5d36dd25eef17023836d4f851d64a35e692a35085d44fca29",
-    "large-plotdata-zipf": "2833415d958622ea893b6513d3015408c529587b6b9e26d99b7f3814133524b7",
-    "large-plotdata-mandelbrot": "20c5f4597fbe91c713fb26f4be4ecdb0d673994f1bf001d218930e95b8bc4779",
-    "large-plotdata-lavalette": "1c3817ba49e5527687bf31891236d2caf93937998a1718277e2d247aee586966",
-    "large-plotdata-beta-like": "5c3ebf0d63fc638357f049378617e6aebe288e14eb12e45a2c31e23d6f93ce7c",
-}
-TABLES = {
-    ("2.4.6", "X86_V4", "SkylakeX"): _V4_SKYLAKEX,
-    ("2.4.6", "X86_V3", "SkylakeX"): _V3_SKYLAKEX,
-    ("2.4.6", "X86_V2", "SkylakeX"): _V3_SKYLAKEX,
-    ("2.4.6", "X86_V3", "Haswell"): _V3_HASWELL,
-    ("2.4.6", "X86_V2", "Haswell"): _V3_HASWELL,
+# The numpy release the digests were taken with, from its PyPI wheel.
+NUMPY = "2.4.6"
+# numpy 2.4's dispatch targets above X86_V3, which the child turns off.
+ABOVE_X86_V3 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# (input, command) -> SHA-256 of the output. The mandelbrot fit of both
+# inputs ends at the upper end of its rho bracket, so the fit-mandelbrot
+# and compare reports carry that warning's text.
+DIGESTS = {
+    ("fixture", "fit-zipf"): "6563a3299f9f46c2e33ecc8b559c01f3756ea6afcd90d333a86e5ba4f655e858",
+    ("fixture", "fit-mandelbrot"): "0889857895351f90d5ea004e3191d7d3d443befd466c24d323d0de0ab6ff9a3a",
+    ("fixture", "fit-lavalette"): "3809d2628843411efa05ef920fa92e524f932aa2fa153991e7dcea53b395362a",
+    ("fixture", "fit-beta-like"): "bc330dd16b7eaadb067c367db3a69837cfea7de1d2d4ae6848cee8419279ae8f",
+    ("fixture", "compare"): "d227f79e02fc31acec5041ed9aa90d875fa81504a4edc6e1c390a3f338b1ee9c",
+    ("fixture", "plotdata-zipf"): "8b11956dbe99246e4fe7e22b6d30b350f305b716c0b358f9f02dc31aa41eaf13",
+    ("fixture", "plotdata-mandelbrot"): "b53d496130d4f134663c5d7f09bf48597989cdf39a15f0c3083938a6fbbdb024",
+    ("fixture", "plotdata-lavalette"): "5cfa2d31deff0301365e79b9c19c6305c3ba4eff89909b960c58373a2f4c50b1",
+    ("fixture", "plotdata-beta-like"): "ec004f3c5183f451ede9fa8f9c315ad969a77da570fa34ca3e172646dcff82b5",
+    ("large", "fit-zipf"): "6ad8f2156c91c167c67a791730290cc7bad5e83856658b03db43da1bfebfb114",
+    ("large", "fit-mandelbrot"): "548790bb17b951fb2c368bc64124cf8465e3184de0ad6331d69999527677e8d9",
+    ("large", "fit-lavalette"): "147c6e09393328332230648fd4fb04bd4785b58b993d91e160a5a0b3436bf730",
+    ("large", "fit-beta-like"): "3e86412fc635837daedb8270ed67c78c9f055a6110cf7ab59147e3a251b0b607",
+    ("large", "compare"): "30d339caebef3cc5d36dd25eef17023836d4f851d64a35e692a35085d44fca29",
+    ("large", "plotdata-zipf"): "2833415d958622ea893b6513d3015408c529587b6b9e26d99b7f3814133524b7",
+    ("large", "plotdata-mandelbrot"): "20c5f4597fbe91c713fb26f4be4ecdb0d673994f1bf001d218930e95b8bc4779",
+    ("large", "plotdata-lavalette"): "1c3817ba49e5527687bf31891236d2caf93937998a1718277e2d247aee586966",
+    ("large", "plotdata-beta-like"): "5c3ebf0d63fc638357f049378617e6aebe288e14eb12e45a2c31e23d6f93ce7c",
 }
 
 # Runs each command line of argv[1] (a JSON list) through cli.main in order,
@@ -172,19 +124,18 @@ def _cases() -> dict:
 
 
 @pytest.fixture(scope="module")
-def digests() -> dict:
-    version, level, core = numpy_build()
-    if (version, level, core) not in TABLES:
-        pytest.skip(f"no digest table for numpy {version} at SIMD level {level} with OpenBLAS core {core}")
-    return TABLES[version, level, core]
-
-
-@pytest.fixture(scope="module")
 def outputs() -> dict:
+    features = cpu_features()
+    if np.__version__ != NUMPY or not features.get("X86_V3"):
+        pytest.skip(f"digests are for numpy {NUMPY} at SIMD level X86_V3; this is numpy "
+                    f"{np.__version__}, X86_V3 {'on' if features.get('X86_V3') else 'missing'}")
     cases = _cases()
     src = str(Path(ranklaws.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+        filter(None, [env.get("NPY_DISABLE_CPU_FEATURES"), *(f for f in ABOVE_X86_V3 if features.get(f))]))
+    env["OPENBLAS_CORETYPE"] = "Haswell"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(list(cases.values()))],
                           env=env, capture_output=True, text=True, timeout=300)
@@ -192,21 +143,20 @@ def outputs() -> dict:
     return dict(zip(cases, map(tuple, json.loads(proc.stdout))))
 
 
-def test_generated_large_series(digests, outputs):
-    assert outputs["large-series"] == (0, digests["large-series"])
+def test_generated_large_series(outputs):
+    assert outputs["large-series"] == (0, LARGE_DIGEST)
 
 
-def test_generated_million_series(digests, outputs):
-    assert outputs["million-series"] == (0, digests["million-series"])
+def test_generated_million_series(outputs):
+    assert outputs["million-series"] == (0, MILLION_DIGEST)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("source", SOURCES)
-def test_report_bytes(digests, outputs, source, command):
-    case = f"{source}-{command}"
-    assert outputs[case] == (0, digests[case])
+def test_report_bytes(outputs, source, command):
+    assert outputs[f"{source}-{command}"] == (0, DIGESTS[source, command])
 
 
 @pytest.mark.parametrize("command", TO_FILE)
-def test_output_file_bytes(digests, outputs, command):
-    assert outputs[f"large-{command}-to-file"] == (0, digests[f"large-{command}"])
+def test_output_file_bytes(outputs, command):
+    assert outputs[f"large-{command}-to-file"] == (0, DIGESTS["large", command])
