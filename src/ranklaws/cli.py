@@ -15,14 +15,15 @@ Exit codes: 0 success, 1 unreadable or invalid input data, a size that
 cannot be allocated or a failed write, 2 fit failure, 64 bad flags or
 flag-supplied parameters (generate values outside double range and
 lengths past 2**53 too). Every check behind exit 1, 2 or 64 runs before
-the first byte of output, so nothing is written to stdout on such an
-exit; only a write that fails partway (a full disk, a closed pipe) exits
-1 after leaving the bytes written so far.
+the first byte of output. A failed write (a full disk, a closed pipe),
+even of the last buffered bytes, the summary or --help, exits 1 through
+main after the bytes written so far; no summary follows failed output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -152,9 +153,8 @@ def _emit(args, chunks, summary: str | None) -> int:
 
     Each chunk is written as it is made, so no step holds the whole text.
     Every check that can fail the command has run before the first chunk.
-    A write that fails partway, say on a full disk or a closed pipe, exits
-    1 and leaves what was written so far: a truncated --output file or
-    truncated stdout.
+    Output is flushed before the summary: a failed write, even of the last
+    buffered bytes, raises before it and leaves what was written so far.
     """
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -162,6 +162,7 @@ def _emit(args, chunks, summary: str | None) -> int:
         dest = sys.stdout
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
         dest = sys.stderr
     if summary is not None and not args.quiet:
         dest.write(summary + "\n")
@@ -334,17 +335,25 @@ _EXITS = {_FlagError: (64, "error"), ValidationError: (1, "error"), FitError: (2
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = None
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # help printed, or a usage error reported
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        print(end="", flush=True)  # the last buffered bytes fail here, not at exit; no-op if fd 1 was closed
     except tuple(_EXITS) as exc:
         code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
-        if not args.quiet:
+        if not (args and args.quiet):
             print(f"ranklaws: {prefix}: {exc}", file=sys.stderr)
-        return code
+        try:
+            print(end="", flush=True)
+        except OSError:  # stdout failed, and would again at exit: point fd 1 at devnull
+            with contextlib.suppress(OSError):  # unless stdout has no file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def console_main() -> None:

@@ -470,6 +470,91 @@ class TestModuleEntryPoint:
         assert proc.stdout == b""
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+
+
+class TestFailedStdoutExit:
+    """A write to stdout that fails exits 1 through ``main`` with one error line.
+
+    The child runs with Python's default buffered stdout, so the failing
+    bytes are the last buffered ones: they reach the stream only when
+    flushed. Left to the interpreter's exit flush they would exit 120 and
+    print "Exception ignored", also under --quiet.
+    """
+
+    COMMANDS = {
+        "fit": ["fit", FIXTURE, "--model", "zipf"],
+        "simulate": ["simulate", "--p-new", "0.1", "--steps", "1000"],
+        "generate": ["generate", "--model", "zipf", "--k", "1", "--alpha", "1", "--n", "20"],
+    }
+
+    @staticmethod
+    def run_module(args, stdout, **kwargs):
+        src = str(Path(rl.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ranklaws", *args], env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+    def run_to_dev_full(self, args):
+        with open("/dev/full", "wb") as full:
+            return self.run_module(args, full)
+
+    def run_to_closed_pipe(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return self.run_module(args, write_end)
+        finally:
+            os.close(write_end)
+
+    @staticmethod
+    def assert_one_error(proc, quiet, code):
+        # One error line and nothing else: no summary, no "Exception ignored".
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (b"" if quiet else f"ranklaws: error: {OSError(code, os.strerror(code))}\n".encode())
+
+    @needs_dev_full
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_full_disk(self, command, quiet):
+        proc = self.run_to_dev_full(self.COMMANDS[command] + ["--quiet"] * quiet)
+        self.assert_one_error(proc, quiet, errno.ENOSPC)
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_pipe(self, command, quiet):
+        proc = self.run_to_closed_pipe(self.COMMANDS[command] + ["--quiet"] * quiet)
+        self.assert_one_error(proc, quiet, errno.EPIPE)
+
+    @needs_dev_full
+    def test_summary_after_output_file(self, tmp_path):
+        # The report is complete on disk; only the summary fails, on stdout.
+        out, reference = tmp_path / "x.json", tmp_path / "reference.json"
+        proc = self.run_to_dev_full(["compare", FIXTURE, "--output", str(out)])
+        self.assert_one_error(proc, False, errno.ENOSPC)
+        assert main(["compare", FIXTURE, "--output", str(reference), "--quiet"]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 1 before exec")
+    def test_closed_stdout_left_alone(self, tmp_path):
+        # Started with fd 1 closed, Python sets sys.stdout to None; a run
+        # that writes nothing there still succeeds.
+        out, reference = tmp_path / "x.json", tmp_path / "reference.json"
+        proc = self.run_module(["compare", FIXTURE, "--output", str(out), "--quiet"], None,
+                               preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main(["compare", FIXTURE, "--output", str(reference), "--quiet"]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+
+    @needs_dev_full
+    def test_help_text(self):
+        # argparse ignores an OSError while writing help, so only the flush
+        # that main makes can see this one.
+        proc = self.run_to_dev_full(["--help"])
+        self.assert_one_error(proc, False, errno.ENOSPC)
+
+
 class TestPlotdataCommand:
     def test_noiseless_columns_agree(self, capsys, zipf_csv):
         assert main(["plotdata", zipf_csv, "--model", "zipf", "--quiet"]) == 0

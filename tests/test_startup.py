@@ -19,6 +19,7 @@ import ranklaws as rl
 
 SRC = str(Path(rl.__file__).resolve().parent.parent)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+SUBMODULES = ("errors", "ingest", "models", "fit", "generate", "accel")
 # Threads of the current process on Linux; -1 where /proc is missing.
 COUNT_THREADS = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1"
 
@@ -55,6 +56,15 @@ class TestLazyImport:
             "                  'mods': sorted(m.__name__ for m in mods.values())}))"
         )
         assert run_code(code) == {"same": True, "mods": ["ranklaws.accel", "ranklaws.fit", "ranklaws.models"]}
+
+    def test_dir_lists_names_without_loading_them(self):
+        code = (
+            "import json, sys, ranklaws\n"
+            "names = dir(ranklaws)\n"
+            f"print(json.dumps({{'missing': [n for n in [*ranklaws.__all__, *{SUBMODULES!r}] if n not in names],\n"
+            "                  'numpy': [m for m in sys.modules if m.split('.')[0] == 'numpy']}))"
+        )
+        assert run_code(code) == {"missing": [], "numpy": []}
 
     def test_star_import_binds_all(self):
         code = "from ranklaws import *\nimport json, ranklaws\nprint(json.dumps([n for n in ranklaws.__all__ if n not in globals()]))"
