@@ -49,16 +49,8 @@ from .generate import NoiseSpec, SimonConfig, generate_synthetic, simulate_simon
 from .ingest import IngestOptions, RankedSeries, parse_csv
 
 
-class _FlagError(Exception):
-    """A flag value failed validation; maps to exit 64."""
-
-
-def _from_flags(build, *args, **kwargs):
-    """Call ``build``, reporting a ValidationError as a _FlagError: its arguments came from flags."""
-    try:
-        return build(*args, **kwargs)
-    except ValidationError as exc:
-        raise _FlagError(str(exc)) from exc
+class _InputError(Exception):
+    """The input file cannot be opened, decoded or parsed; maps to exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,22 +121,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_series(args) -> tuple[RankedSeries, list[str], str]:
-    """Load the input file; returns (series, warnings, digest)."""
+    """Load the input file; returns (series, warnings, digest).
+
+    The flags are checked before the file is opened, so a bad flag is
+    reported (exit 64) even when the input is bad too.
+    """
+    mode = "pre-ranked" if args.pre_ranked else "raw"
+    options = IngestOptions(mode=mode, zero_policy=args.zero_policy, delimiter=args.delimiter)
     try:
         with open(args.input, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.input}: {exc.strerror or exc}") from exc
-    digest = hashlib.blake2b(raw, digest_size=8).hexdigest()
-    try:
+        digest = hashlib.blake2b(raw, digest_size=8).hexdigest()
         text = raw.decode("utf-8")
+        del raw  # the parse holds the text; a second copy of the input would only add to the peak
+        # No output carries labels, so none are built.
+        series, warnings = parse_csv(text, options, labels=False)
+    except OSError as exc:
+        raise _InputError(f"cannot read {args.input}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{args.input} is not valid UTF-8: {exc}") from exc
-    del raw  # the parse holds the text; a second copy of the input would only add to the peak
-    mode = "pre-ranked" if args.pre_ranked else "raw"
-    options = _from_flags(IngestOptions, mode=mode, zero_policy=args.zero_policy, delimiter=args.delimiter)
-    # No output carries labels, so none are built.
-    series, warnings = parse_csv(text, options, labels=False)
+        raise _InputError(f"{args.input} is not valid UTF-8: {exc}") from exc
+    except ValidationError as exc:
+        raise _InputError(str(exc)) from exc
     return series, warnings, digest
 
 
@@ -289,23 +286,23 @@ def _params_from_flags(args) -> models.ModelParams:
     needed = ["n"] + [name for name in fields if name != "n"]
     supplied = {f: getattr(args, f) for f in _LAW_FLAGS}
     if any(supplied[f] is None for f in needed):
-        raise _FlagError(f"model {args.model} requires " + " ".join(f"--{f}" for f in needed))
+        raise ValidationError(f"model {args.model} requires " + " ".join(f"--{f}" for f in needed))
     extra = [f for f, v in supplied.items() if v is not None and f not in needed]
     if extra:
-        raise _FlagError(f"--{extra[0]} does not apply to model {args.model}")
-    return _from_flags(law, **{name: supplied[name] for name in fields})
+        raise ValidationError(f"--{extra[0]} does not apply to model {args.model}")
+    return law(**{name: supplied[name] for name in fields})
 
 
 def _cmd_generate(args) -> int:
     params = _params_from_flags(args)
-    noise = _from_flags(NoiseSpec, sigma=args.sigma, seed=args.seed)
+    noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
     # The length and values outside double range are rejected here too.
-    series = _from_flags(generate_synthetic, params, noise, n=args.n)
+    series = generate_synthetic(params, noise, n=args.n)
     return _emit(args, _series_csv(series), f"generated {series.n} values ({args.model}, sigma={args.sigma:g})")
 
 
 def _cmd_simulate(args) -> int:
-    config = _from_flags(SimonConfig, p_new=args.p_new, steps=args.steps, seed=args.seed)
+    config = SimonConfig(p_new=args.p_new, steps=args.steps, seed=args.seed)
     series = simulate_simon(config)
     return _emit(args, _series_csv(series), f"simulated {config.steps} items over {series.n} sources")
 
@@ -330,7 +327,7 @@ def _plot_table(observed: np.ndarray, fitted: np.ndarray, residuals: np.ndarray)
 
 
 # Exit code and message prefix per exception class; a class not listed takes its nearest listed base's.
-_EXITS = {_FlagError: (64, "error"), ValidationError: (1, "error"), FitError: (2, "fit error"), OSError: (1, "error"),
+_EXITS = {ValidationError: (64, "error"), _InputError: (1, "error"), FitError: (2, "fit error"), OSError: (1, "error"),
           MemoryError: (1, "error")}
 
 
