@@ -15,9 +15,14 @@ Exit codes: 0 success, 1 unreadable or invalid input data, a size that
 cannot be allocated or a failed write, 2 fit failure, 64 bad flags or
 flag-supplied parameters (generate values outside double range and
 lengths past 2**53 too). Every check behind exit 1, 2 or 64 runs before
-the first byte of output. A failed write (a full disk, a closed pipe),
-even of the last buffered bytes, the summary or --help, exits 1 through
-main after the bytes written so far; no summary follows failed output.
+the first byte of output, and the flags are checked before the input is
+read, so a bad flag exits 64 even when the input is bad too. A failed
+write (a full disk, a closed pipe), even of the last buffered bytes, the
+summary or --help, exits 1 through main after the bytes written so far;
+no summary follows failed output. So does a summary written to a
+standard stream that was closed at start or cannot be written; an error
+line that cannot be written to stderr is dropped and the error keeps
+its exit code.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -55,7 +61,8 @@ class _InputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        if sys.stderr:  # print_usage(None) would write to stdout
+            self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
@@ -152,18 +159,27 @@ def _emit(args, chunks, summary: str | None) -> int:
     Every check that can fail the command has run before the first chunk.
     Output is flushed before the summary: a failed write, even of the last
     buffered bytes, raises before it and leaves what was written so far.
+    A standard stream that was closed at start (None in ``sys``) fails the
+    write that would use it with EBADF.
     """
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         dest = sys.stdout
     else:
-        sys.stdout.writelines(chunks)
+        _stdio(sys.stdout).writelines(chunks)
         sys.stdout.flush()
         dest = sys.stderr
     if summary is not None and not args.quiet:
-        dest.write(summary + "\n")
+        _stdio(dest).write(summary + "\n")
     return 0
+
+
+def _stdio(stream):
+    """Return ``stream``; a None one (its fd was closed at start) fails like a write to a closed fd."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
 
 
 def _fit_payload(rep: FitReport) -> dict:
@@ -343,13 +359,15 @@ def main(argv: list[str] | None = None) -> int:
         print(end="", flush=True)  # the last buffered bytes fail here, not at exit; no-op if fd 1 was closed
     except tuple(_EXITS) as exc:
         code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
-        if not (args and args.quiet):
-            print(f"ranklaws: {prefix}: {exc}", file=sys.stderr)
+        if sys.stderr and not (args and args.quiet):  # print(file=None) would write to stdout
+            with contextlib.suppress(OSError):  # the line is best-effort; the exit code stands
+                print(f"ranklaws: {prefix}: {exc}", file=sys.stderr)
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # on every path: argparse writes errors to stderr too
         try:
-            print(end="", flush=True)
-        except OSError:  # stdout failed, and would again at exit: point fd 1 at devnull
-            with contextlib.suppress(OSError):  # unless stdout has no file descriptor
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            stream.flush()
+        except OSError:  # it failed, and would again at exit: point its fd at devnull
+            with contextlib.suppress(OSError):  # unless it has no file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

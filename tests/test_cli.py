@@ -119,6 +119,17 @@ class TestExitCodes:
     def test_bad_delimiter_is_usage_error(self, capsys, plain_csv):
         assert main(["fit", plain_csv, "--model", "zipf", "--delimiter", "ab"]) == 64
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"], ids=["missing", "not-utf-8"])
+    @pytest.mark.parametrize("command", [["fit", "--model", "zipf"], ["compare"], ["plotdata", "--model", "zipf"]])
+    def test_bad_flag_reported_before_bad_input(self, capsys, tmp_path, command, content):
+        # The flags are checked before the input is read, so the flag error wins.
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main([command[0], str(path), *command[1:], "--delimiter", "ab"]) == 64
+        assert capsys.readouterr() == (
+            "", "ranklaws: error: delimiter must be a single printable character or tab, got 'ab'\n")
+
     def test_invalid_utf8_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\xff\xfe\x00bad")
@@ -479,7 +490,8 @@ class TestFailedStdoutExit:
     The child runs with Python's default buffered stdout, so the failing
     bytes are the last buffered ones: they reach the stream only when
     flushed. Left to the interpreter's exit flush they would exit 120 and
-    print "Exception ignored", also under --quiet.
+    print "Exception ignored", also under --quiet. The same holds for
+    stderr, and for a standard stream closed before the child starts.
     """
 
     COMMANDS = {
@@ -489,12 +501,12 @@ class TestFailedStdoutExit:
     }
 
     @staticmethod
-    def run_module(args, stdout, **kwargs):
+    def run_module(args, stdout, stderr=subprocess.PIPE, **kwargs):
         src = str(Path(rl.__file__).resolve().parent.parent)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "ranklaws", *args], env=env, stdout=stdout,
-                              stderr=subprocess.PIPE, timeout=60, **kwargs)
+                              stderr=stderr, timeout=60, **kwargs)
 
     def run_to_dev_full(self, args):
         with open("/dev/full", "wb") as full:
@@ -507,6 +519,13 @@ class TestFailedStdoutExit:
             return self.run_module(args, write_end)
         finally:
             os.close(write_end)
+
+    def run_with_bad_stderr(self, args, stderr, **kwargs):
+        # stderr on /dev/full, or fd 2 closed before exec, so that Python sets sys.stderr to None.
+        if stderr == "closed":
+            return self.run_module(args, subprocess.PIPE, None, preexec_fn=lambda: os.close(2), **kwargs)
+        with open("/dev/full", "wb") as full:
+            return self.run_module(args, subprocess.PIPE, full, **kwargs)
 
     @staticmethod
     def assert_one_error(proc, quiet, code):
@@ -553,6 +572,43 @@ class TestFailedStdoutExit:
         # that main makes can see this one.
         proc = self.run_to_dev_full(["--help"])
         self.assert_one_error(proc, False, errno.ENOSPC)
+
+    @needs_dev_full
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_stderr(self, command, quiet, stderr):
+        # The output is complete on stdout; a summary that cannot be written
+        # exits 1 like any failed write, and the error line about it is lost.
+        args = self.COMMANDS[command] + ["--quiet"] * quiet
+        proc = self.run_with_bad_stderr(args, stderr)
+        reference = self.run_module(args + ["--quiet"], subprocess.PIPE)
+        assert (reference.returncode, reference.stderr) == (0, b"")
+        assert (proc.returncode, proc.stdout) == (0 if quiet else 1, reference.stdout)
+
+    @needs_dev_full
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    @pytest.mark.parametrize("argv, code", [
+        (["fit", "nope.csv", "--model", "zipf"], 1),
+        (["fit", FIXTURE, "--model", "zipf", "--bogus"], 64),
+    ], ids=["missing-input", "unknown-flag"])
+    def test_error_with_unwritable_stderr(self, tmp_path, argv, code, stderr):
+        # The error keeps its exit code, and its line never goes to stdout.
+        proc = self.run_with_bad_stderr(argv, stderr, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 1 before exec")
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_closed_stdout_written_to(self, tmp_path, to_file):
+        # Started with fd 1 closed, a run that writes its report (or, with
+        # --output, its summary) there fails like a write to a closed fd.
+        out, reference = tmp_path / "x.json", tmp_path / "reference.json"
+        args = ["compare", FIXTURE, "--output", str(out)] if to_file else self.COMMANDS["fit"]
+        proc = self.run_module(args, None, preexec_fn=lambda: os.close(1))
+        self.assert_one_error(proc, False, errno.EBADF)
+        if to_file:
+            assert main(["compare", FIXTURE, "--output", str(reference), "--quiet"]) == 0
+            assert out.read_bytes() == reference.read_bytes()
 
 
 class TestPlotdataCommand:
