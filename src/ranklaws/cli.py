@@ -19,10 +19,10 @@ the first byte of output, and the flags are checked before the input is
 read, so a bad flag exits 64 even when the input is bad too. A failed
 write (a full disk, a closed pipe), even of the last buffered bytes, the
 summary or --help, exits 1 through main after the bytes written so far;
-no summary follows failed output. So does a summary written to a
-standard stream that was closed at start or cannot be written; an error
-line that cannot be written to stderr is dropped and the error keeps
-its exit code.
+no summary follows failed output. So does any write to a standard
+stream that was closed at start, and a summary to a stderr that cannot
+be written; an error line that cannot be written to stderr is dropped
+and the error keeps its exit code.
 """
 
 from __future__ import annotations
@@ -60,10 +60,13 @@ class _InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse would send these to another stream when theirs is None, and before 3.11.7 raise on a failed write.
     def error(self, message):
-        if sys.stderr:  # print_usage(None) would write to stdout
-            self.print_usage(sys.stderr)
-        self.exit(64, f"{self.prog}: error: {message}\n")
+        _error_line(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(64)
+
+    def print_help(self, file=None):
+        super().print_help(_stdio(file or sys.stdout))
 
     def parse_known_args(self, args=None, namespace=None):
         # Subcommands parse through this too, so each reports an unknown flag under its own usage line.
@@ -180,6 +183,12 @@ def _stdio(stream):
     if stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     return stream
+
+
+def _error_line(text: str) -> None:
+    """Write ``text`` to stderr; the line is best-effort, so a failed write, or a closed stderr, drops it."""
+    with contextlib.suppress(OSError):
+        _stdio(sys.stderr).write(text)
 
 
 def _fit_payload(rep: FitReport) -> dict:
@@ -359,15 +368,16 @@ def main(argv: list[str] | None = None) -> int:
         print(end="", flush=True)  # the last buffered bytes fail here, not at exit; no-op if fd 1 was closed
     except tuple(_EXITS) as exc:
         code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
-        if sys.stderr and not (args and args.quiet):  # print(file=None) would write to stdout
-            with contextlib.suppress(OSError):  # the line is best-effort; the exit code stands
-                print(f"ranklaws: {prefix}: {exc}", file=sys.stderr)
-    for stream in filter(None, (sys.stdout, sys.stderr)):  # on every path: argparse writes errors to stderr too
+        if not (args and args.quiet):
+            _error_line(f"ranklaws: {prefix}: {exc}\n")
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # on every path: a usage error writes to stderr too
         try:
             stream.flush()
         except OSError:  # it failed, and would again at exit: point its fd at devnull
-            with contextlib.suppress(OSError):  # unless it has no file descriptor
-                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            with contextlib.suppress(OSError):  # unless it has no file descriptor, asked before devnull is opened
+                fd, devnull = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
     return code
 
 

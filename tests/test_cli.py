@@ -598,15 +598,16 @@ class TestFailedStdoutExit:
         assert (proc.returncode, proc.stdout) == (code, b"")
 
     @pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 1 before exec")
-    @pytest.mark.parametrize("to_file", [False, True])
-    def test_closed_stdout_written_to(self, tmp_path, to_file):
-        # Started with fd 1 closed, a run that writes its report (or, with
-        # --output, its summary) there fails like a write to a closed fd.
+    @pytest.mark.parametrize("written", ["report", "summary", "help"])
+    def test_closed_stdout_written_to(self, tmp_path, written):
+        # Started with fd 1 closed, a run that writes its report, its summary
+        # (after --output) or --help there fails like a write to a closed fd.
         out, reference = tmp_path / "x.json", tmp_path / "reference.json"
-        args = ["compare", FIXTURE, "--output", str(out)] if to_file else self.COMMANDS["fit"]
+        args = {"report": self.COMMANDS["fit"], "summary": ["compare", FIXTURE, "--output", str(out)],
+                "help": ["--help"]}[written]
         proc = self.run_module(args, None, preexec_fn=lambda: os.close(1))
         self.assert_one_error(proc, False, errno.EBADF)
-        if to_file:
+        if written == "summary":
             assert main(["compare", FIXTURE, "--output", str(reference), "--quiet"]) == 0
             assert out.read_bytes() == reference.read_bytes()
 
