@@ -191,16 +191,9 @@ def _error_line(text: str) -> None:
         _stdio(sys.stderr).write(text)
 
 
-def _fit_payload(rep: FitReport) -> dict:
-    return {
-        "model": rep.model,
-        "params": dataclasses.asdict(rep.params),
-        "r_squared": rep.r_squared,
-        "log_sse": rep.log_sse,
-        "residuals": rep.residuals,
-        "n": rep.n,
-        "warnings": list(rep.warnings),
-    }
+def _fit_payload(result: FitReport | ComparisonReport) -> dict:
+    """The report's object: the result dataclass's fields, nested dataclasses as dicts."""
+    return dataclasses.asdict(result)
 
 
 def _document(digest: str, series: RankedSeries, warnings: list[str], key: str, payload) -> Iterator[str]:
@@ -297,12 +290,7 @@ def _comparison_table(comp: ComparisonReport) -> str:
 def _cmd_compare(args) -> int:
     series, warnings, digest = _read_series(args)
     comp = compare_models(series)
-    payload = {
-        "reports": [_fit_payload(rep) for rep in comp.reports],
-        "best_by_r2": comp.best_by_r2,
-        "nesting_ok": comp.nesting_ok,
-    }
-    return _emit(args, _document(digest, series, warnings, "comparison", payload), _comparison_table(comp))
+    return _emit(args, _document(digest, series, warnings, "comparison", _fit_payload(comp)), _comparison_table(comp))
 
 
 def _params_from_flags(args) -> models.ModelParams:
