@@ -6,10 +6,12 @@ plotdata read an input table, shaped by --delimiter, --zero-policy and
 to --output when given, otherwise to stdout; the human summary then goes
 to stdout or stderr respectively, and --quiet drops it. plotdata puts one
 "ranklaws: warning:" line per input or fit warning before its summary,
-since the TSV has no place for them. JSON reports serialize with sorted
-keys, two-space indent and LF line endings so identical inputs give
-byte-identical files. Machine output is written a slice at a time as it
-is encoded, so no step holds its whole text.
+since the TSV has no place for them. A JSON report's fit or comparison
+object holds the fields of the result dataclass (FitReport,
+ComparisonReport). JSON reports serialize with sorted keys, two-space
+indent and LF line endings so identical inputs give byte-identical
+files. Machine output is written a slice at a time as it is encoded, so
+no step holds its whole text.
 
 Exit codes: 0 success, 1 unreadable or invalid input data, a size that
 cannot be allocated or a failed write, 2 fit failure, 64 bad flags or

@@ -77,7 +77,9 @@ _RULES = {
     "mode": ((lambda v: v in ("raw", "pre-ranked"), "be 'raw' or 'pre-ranked'"),),
     "zero_policy": ((lambda v: v in ("reject", "drop"), "be 'reject' or 'drop'"),),
     "delimiter": ((lambda v: isinstance(v, str) and len(v) == 1 and (v.isprintable() or v == "\t"),
-                   "be a single printable character or tab"),),
+                   "be a single printable character or tab"),
+                  # csv rejects the quote character as a delimiter from Python 3.13 on.
+                  (lambda v: v != '"', "not be the quote character '\"'")),
 }
 _FINITE = ((math.isfinite, "be finite"),)
 

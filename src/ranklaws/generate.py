@@ -40,9 +40,11 @@ def generate_synthetic(params: models.ModelParams, noise: NoiseSpec, n: int | No
     """Tabulate a model, perturb it, and re-rank.
 
     ``n`` follows :func:`ranklaws.models.model_values`. With sigma = 0 the
-    output equals curve(params) exactly. Noise can break monotonicity, so
-    the perturbed values are re-sorted descending and re-ranked. Values
-    that leave double range raise ValidationError.
+    output equals curve(params) exactly for a law whose curve does not
+    increase. Noise, or a law that increases in rank (such as zipf with a
+    negative alpha, where curve raises), can break monotonicity, so the
+    values are re-sorted descending and re-ranked. Values that leave
+    double range raise ValidationError.
     """
     rng = np.random.default_rng(noise.seed)
     with np.errstate(all="ignore"):  # an overflow or underflow gives inf or 0, which rank_raw rejects

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -124,7 +125,7 @@ def _parse_value(cell: str, line: int) -> float:
         value = float(cell)
     except ValueError:
         raise ParseError(f"could not parse value {cell!r} as a number", line=line) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"value {cell!r} is not finite", line=line)
     return value
 

@@ -130,6 +130,13 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "ranklaws: error: delimiter must be a single printable character or tab, got 'ab'\n")
 
+    @pytest.mark.parametrize("command", [["fit", "--model", "zipf"], ["compare"], ["plotdata", "--model", "zipf"]])
+    def test_quote_delimiter_is_usage_error(self, capsys, command):
+        # csv accepts '"' as a delimiter before Python 3.13 and raises a bare ValueError from then on.
+        assert main([command[0], FIXTURE, *command[1:], "--delimiter", '"']) == 64
+        assert capsys.readouterr() == (
+            "", "ranklaws: error: delimiter must not be the quote character '\"', got '\"'\n")
+
     def test_invalid_utf8_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\xff\xfe\x00bad")

@@ -32,8 +32,9 @@ FINITE_ONLY = {"alpha", "a", "b", "epsilon"}
     (lambda: rl.IngestOptions(mode="ranked"), "mode must be 'raw' or 'pre-ranked', got 'ranked'"),
     (lambda: rl.IngestOptions(zero_policy="keep"), "zero_policy must be 'reject' or 'drop', got 'keep'"),
     (lambda: rl.IngestOptions(delimiter="ab"), "delimiter must be a single printable character or tab, got 'ab'"),
+    (lambda: rl.IngestOptions(delimiter='"'), "delimiter must not be the quote character '\"', got '\"'"),
 ], ids=["k", "rho", "n-integer", "n-positive", "exponent", "sigma", "p_new", "steps-positive", "steps-exact",
-        "seed-integer", "seed-64-bits", "mode", "zero_policy", "delimiter"])
+        "seed-integer", "seed-64-bits", "mode", "zero_policy", "delimiter", "delimiter-quote"])
 def test_rule_text(make, message):
     with pytest.raises(rl.ValidationError) as info:
         make()

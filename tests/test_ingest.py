@@ -437,3 +437,16 @@ class TestIngestOptions:
         assert options.mode == "raw"
         assert options.zero_policy == "reject"
         assert options.delimiter == ","
+
+    def test_every_accepted_delimiter_parses_or_fails_cleanly(self):
+        # csv.reader rejects '"' as a delimiter from Python 3.13 on, with a ValueError no caller maps.
+        accepted = []
+        for char in ["\t", *map(chr, range(32, 127))]:
+            try:
+                options = rl.IngestOptions(delimiter=char)
+            except rl.ValidationError:
+                continue
+            accepted.append(char)
+            _outcome(rl.parse_csv, f"a{char}4.0\nb{char}2.0\n", options)
+            _outcome(rl.parse_csv, f"1{char}4.0\n2{char}2.0\n", rl.IngestOptions(mode="pre-ranked", delimiter=char))
+        assert set(map(chr, range(32, 127))) - set(accepted) == {'"'}
