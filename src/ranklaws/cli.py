@@ -78,16 +78,11 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-# Law flags of generate, in option order: flag -> (type, help). An unset flag stays None.
-_LAW_FLAGS = {
-    "n": (int, "series length"),
-    "k": (float, "scale factor K (zipf, lavalette, beta-like)"),
-    "alpha": (float, "zipf exponent"),
-    "a": (float, "beta-like rank exponent"),
-    "b": (float, "lavalette / beta-like depletion exponent"),
-    "rho": (float, "mandelbrot rank offset"),
-    "epsilon": (float, "mandelbrot exponent shift"),
-}
+# Law flags of generate, in option order: flag -> noun. The laws that take each flag are those of
+# models.LAWS with that field, and every law for --n: generate needs a length even where a law has none.
+# An unset flag stays None.
+_LAW_FLAGS = {"n": "series length", "k": "scale factor K", "alpha": "exponent", "a": "rank exponent",
+              "b": "depletion exponent", "rho": "rank offset", "epsilon": "exponent shift"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,8 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_gen = sub.add_parser("generate", parents=[output, model], help="emit a synthetic series as CSV")
-    for name, (kind, text) in _LAW_FLAGS.items():
-        p_gen.add_argument(f"--{name}", type=kind, help=text)
+    for name, noun in _LAW_FLAGS.items():
+        tags = [tag for tag, law in models.LAWS.items()
+                if name == "n" or any(field.name == name for field in dataclasses.fields(law))]
+        p_gen.add_argument(f"--{name}", type=int if name == "n" else float, help=f"{noun} ({', '.join(tags)})")
     p_gen.add_argument("--sigma", type=float, default=0.0, help="lognormal noise level (default 0)")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_gen.set_defaults(func=_cmd_generate)

@@ -406,6 +406,20 @@ class TestGenerateCommand:
         assert main(["generate", "--model", "zipf", "--n", "10"]) == 64
         assert capsys.readouterr().err == "ranklaws: error: model zipf requires --n --k --alpha\n"
 
+    def test_law_flags_follow_the_law_table(self, capsys, monkeypatch):
+        # A law that gains a field gains its flag, in the help and in the check, with no CLI edit.
+        @dataclasses.dataclass(frozen=True)
+        class ScaledMandelbrot(rl.MandelbrotParams):
+            k: float
+
+        monkeypatch.setitem(rl.models.LAWS, "mandelbrot", ScaledMandelbrot)
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help lines at the terminal width
+        assert main(["generate", "--help"]) == 0
+        help_lines = [line.split(maxsplit=2) for line in capsys.readouterr().out.splitlines()]
+        assert ["--k", "K", "scale factor K (zipf, mandelbrot, lavalette, beta-like)"] in help_lines
+        assert main(["generate", "--model", "mandelbrot", "--n", "10", "--rho", "1", "--epsilon", "0.2"]) == 64
+        assert capsys.readouterr() == ("", "ranklaws: error: model mandelbrot requires --n --rho --epsilon --k\n")
+
     def test_inapplicable_flag_rejected(self, capsys):
         assert main(["generate", "--model", "zipf", "--n", "10", "--k", "1",
                      "--alpha", "1", "--rho", "2"]) == 64
