@@ -79,7 +79,9 @@ _RULES = {
     "delimiter": ((lambda v: isinstance(v, str) and len(v) == 1 and (v.isprintable() or v == "\t"),
                    "be a single printable character or tab"),
                   # csv rejects the quote character as a delimiter from Python 3.13 on.
-                  (lambda v: v != '"', "not be the quote character '\"'")),
+                  (lambda v: v != '"', "not be the quote character '\"'"),
+                  # Such a delimiter would split a value cell into other numbers.
+                  (lambda v: not (v.isdecimal() or v in ".+-eE_"), "not occur in numbers: a digit or one of '.+-eE_'")),
 }
 _FINITE = ((math.isfinite, "be finite"),)
 

@@ -39,9 +39,7 @@ class RankedSeries:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValidationError(f"values must be one-dimensional, got shape {values.shape}")
+        values = _as_values(self.values)
         if values.size == 0:
             raise ValidationError("values must not be empty")
         if not np.all(np.isfinite(values)):
@@ -100,6 +98,17 @@ class IngestOptions(Checked):
     delimiter: str = ","
 
 
+def _as_values(values) -> np.ndarray:
+    """``values`` as a one-dimensional float64 array, not copied if it is one already."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, or an int past double range
+        raise ValidationError(f"values must be real numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"values must be one-dimensional, got shape {arr.shape}")
+    return arr
+
+
 def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None = None) -> RankedSeries:
     """Rank raw values by a stable descending sort.
 
@@ -107,9 +116,7 @@ def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None 
     ranks. RankedSeries checks that the values are finite and strictly
     positive; there is no drop policy at this level.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"values must be one-dimensional, got shape {arr.shape}")
+    arr = _as_values(values)
     order = np.argsort(-arr, kind="stable")
     sorted_labels = None
     if labels is not None:
@@ -197,7 +204,9 @@ def parse_csv(
             raise ValidationError(f"duplicate rank {int(cells[0].strip())}", line=line)
         missing = np.setdiff1d(np.arange(1, kept.size + 1), ordered, assume_unique=True)
         if missing.size:
-            raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: missing {missing.tolist()}")
+            more = f" and {missing.size - 10} more" if missing.size > 10 else ""
+            raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: "
+                                  f"missing {missing[:10].tolist()}{more}")
     else:
         order = np.argsort(-kept, kind="stable")  # rank_raw's sort; dropped rows are filtered out below
     if warnings:

@@ -137,6 +137,15 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "ranklaws: error: delimiter must not be the quote character '\"', got '\"'\n")
 
+    @pytest.mark.parametrize("command", [["fit", "--model", "zipf"], ["compare"], ["plotdata", "--model", "zipf"]])
+    def test_number_character_delimiter_is_usage_error(self, capsys, tmp_path, command):
+        # Split at '.', the cells 4.5, 3.25 and 2.125 would read as the series 125, 25, 5.
+        path = tmp_path / "decimals.csv"
+        path.write_text("4.5\n3.25\n2.125\n")
+        assert main([command[0], str(path), *command[1:], "--delimiter", "."]) == 64
+        assert capsys.readouterr() == (
+            "", "ranklaws: error: delimiter must not occur in numbers: a digit or one of '.+-eE_', got '.'\n")
+
     def test_invalid_utf8_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\xff\xfe\x00bad")

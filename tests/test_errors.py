@@ -33,8 +33,9 @@ FINITE_ONLY = {"alpha", "a", "b", "epsilon"}
     (lambda: rl.IngestOptions(zero_policy="keep"), "zero_policy must be 'reject' or 'drop', got 'keep'"),
     (lambda: rl.IngestOptions(delimiter="ab"), "delimiter must be a single printable character or tab, got 'ab'"),
     (lambda: rl.IngestOptions(delimiter='"'), "delimiter must not be the quote character '\"', got '\"'"),
+    (lambda: rl.IngestOptions(delimiter="."), "delimiter must not occur in numbers: a digit or one of '.+-eE_', got '.'"),
 ], ids=["k", "rho", "n-integer", "n-positive", "exponent", "sigma", "p_new", "steps-positive", "steps-exact",
-        "seed-integer", "seed-64-bits", "mode", "zero_policy", "delimiter", "delimiter-quote"])
+        "seed-integer", "seed-64-bits", "mode", "zero_policy", "delimiter", "delimiter-quote", "delimiter-number"])
 def test_rule_text(make, message):
     with pytest.raises(rl.ValidationError) as info:
         make()

@@ -101,6 +101,17 @@ class TestRankRaw:
             rl.rank_raw(values)
         assert str(by_rank_raw.value) == str(by_series.value)
 
+    @pytest.mark.parametrize("make", [rl.RankedSeries, rl.rank_raw], ids=["RankedSeries", "rank_raw"])
+    @pytest.mark.parametrize("values", [["x", "1"], [[1, 2], [3]], "abc", [1j, 1], {"a": 1}, [object()], [10**400, 1]],
+                             ids=["str", "ragged", "bare-str", "complex", "dict", "object", "huge-int"])
+    def test_non_numeric_values_are_validation_errors(self, make, values):
+        with pytest.raises(rl.ValidationError, match="^values must be real numbers: "):
+            make(values)
+
+    @pytest.mark.parametrize("make", [rl.RankedSeries, rl.rank_raw], ids=["RankedSeries", "rank_raw"])
+    def test_numeric_strings_accepted(self, make):
+        assert make(["3", "1"]).values.tolist() == [3.0, 1.0]
+
     def test_label_count_must_match(self):
         with pytest.raises(rl.ValidationError) as info:
             rl.rank_raw([2.0, 1.0], labels=["a"])
@@ -240,6 +251,16 @@ class TestParseCsvPreRanked:
     def test_gap_in_ranks_rejected(self):
         with pytest.raises(rl.ValidationError, match="permutation"):
             rl.parse_csv("1,5.0\n3,3.0", self.OPTIONS)
+
+    def test_missing_ranks_listed_up_to_ten(self):
+        text = "id,impact\n" + "".join(f"{1000 + i},{50 - i}\n" for i in range(50))
+        with pytest.raises(rl.ValidationError) as info:
+            rl.parse_csv(text, self.OPTIONS)
+        assert str(info.value) == (
+            "ranks are not a permutation of 1..50: missing [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 40 more")
+        with pytest.raises(rl.ValidationError) as info:
+            rl.parse_csv("".join(f"{r},{30 - r}\n" for r in range(11, 21)), self.OPTIONS)
+        assert str(info.value) == "ranks are not a permutation of 1..10: missing [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
 
     def test_increasing_values_rejected(self):
         with pytest.raises(rl.ValidationError, match="non-increasing"):
@@ -439,7 +460,8 @@ class TestIngestOptions:
         assert options.delimiter == ","
 
     def test_every_accepted_delimiter_parses_or_fails_cleanly(self):
-        # csv.reader rejects '"' as a delimiter from Python 3.13 on, with a ValueError no caller maps.
+        # csv.reader rejects '"' as a delimiter from Python 3.13 on, with a ValueError no caller maps;
+        # a character that occurs in numbers would split a value cell into other numbers.
         accepted = []
         for char in ["\t", *map(chr, range(32, 127))]:
             try:
@@ -449,4 +471,4 @@ class TestIngestOptions:
             accepted.append(char)
             _outcome(rl.parse_csv, f"a{char}4.0\nb{char}2.0\n", options)
             _outcome(rl.parse_csv, f"1{char}4.0\n2{char}2.0\n", rl.IngestOptions(mode="pre-ranked", delimiter=char))
-        assert set(map(chr, range(32, 127))) - set(accepted) == {'"'}
+        assert set(map(chr, range(32, 127))) - set(accepted) == {'"', *"0123456789.+-eE_"}
