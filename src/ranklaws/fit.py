@@ -105,21 +105,17 @@ def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[
     Exponents fitted to a series spanning hundreds of decades can make the
     tabulated law overflow or underflow; that is raised as a FitError
     instead of numpy warnings and non-finite numbers. A residual that is
-    not finite makes the SSE not finite. The law, its log and the
-    residuals share one buffer, and the log values are centered in place
-    for R^2.
+    not finite makes the SSE not finite.
     """
     with np.errstate(all="ignore"):
         log_obs = np.log(series.values)
-        residuals = models.model_values(params, series.n)
-        np.log(residuals, out=residuals)
-        np.subtract(log_obs, residuals, out=residuals)
+        residuals = log_obs - np.log(models.model_values(params, series.n))
         sse = float(residuals @ residuals)
         if np.all(log_obs == log_obs[0]):  # constant series: no total sum of squares
             r_squared = 1.0 if sse <= 1e-20 else 0.0
         else:
-            log_obs -= log_obs.mean()
-            r_squared = 1.0 - sse / float(log_obs @ log_obs)
+            centered = log_obs - log_obs.mean()
+            r_squared = 1.0 - sse / float(centered @ centered)
     if not (math.isfinite(sse) and math.isfinite(r_squared)):
         raise FitError(f"{type(params).model} fit is not finite in double precision (log_sse={sse!r})")
     return FitReport(
@@ -134,12 +130,10 @@ def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[
 
 
 def _centered_ols(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """OLS slope(s) and intercept, solved on columns centered in place; ``y`` is centered in place too."""
+    """OLS slope(s) and intercept, solved on centered columns."""
     col_means = design.mean(axis=0)
     y_mean = float(y.mean())
-    design -= col_means
-    y -= y_mean
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design - col_means, y - y_mean, rcond=None)
     # Rank ranges over >= 3 distinct values, so the columns cannot collapse.
     assert rank == design.shape[1], "degenerate design matrix"
     return coef, y_mean - float(col_means @ coef)
@@ -158,13 +152,9 @@ def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
 def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     """OLS of log value on one column d log(N+1-r) - p log r per exponent field."""
     _require_length(series, _param_count(law) + 1, f"{law.model} fit")
-    design = np.empty((series.n, len(law.exponents)))
-    log_rank = np.arange(1.0, series.n + 1.0)
-    log_depletion = series.n + 1.0 - log_rank  # both logged in place below
-    np.log(log_depletion, out=log_depletion)
-    np.log(log_rank, out=log_rank)
-    for column, (d, p) in zip(design.T, law.exponents.values()):
-        np.subtract(d * log_depletion, p * log_rank, out=column)
+    log_rank = np.log(np.arange(1.0, series.n + 1.0))
+    log_depletion = log_rank[::-1]  # N+1-r runs over the same integers as r
+    design = np.column_stack([d * log_depletion - p * log_rank for d, p in law.exponents.values()])
     del log_depletion, log_rank
     coef, intercept = _centered_ols(design, np.log(series.values))
     try:

@@ -111,27 +111,12 @@ def law_length(params: ModelParams, default: int | None = None) -> int | None:
 
 
 def _law_values(params: ModelParams, r: np.ndarray, n) -> np.ndarray:
-    """Value of the law at the float64 rank(s) ``r`` of a length-``n`` series.
-
-    ``r`` is overwritten: the law is computed in it, or for the K-bearing
-    laws in one more array. The in-place operators take the same ufunc
-    loops as the plain expressions, so the bits do not depend on it.
-    """
+    """Value of the law at the float64 rank(s) ``r`` of a length-``n`` series."""
     if isinstance(params, MandelbrotParams):
-        # ((N + rho) / (r + rho)) ** (1 + epsilon)
-        r += params.rho
-        np.divide(params.n + params.rho, r, out=r)
-        r **= 1.0 + params.epsilon
-        return r
-    # K (N + 1 - r) ** b / r ** a
+        return ((params.n + params.rho) / (r + params.rho)) ** (1.0 + params.epsilon)
     b = sum(d * getattr(params, name) for name, (d, _) in params.exponents.items())
     a = sum(p * getattr(params, name) for name, (_, p) in params.exponents.items())
-    values = np.subtract(n + 1, r)
-    values **= b
-    values *= params.k
-    r **= a
-    values /= r
-    return values
+    return params.k * (n + 1 - r) ** b / r ** a
 
 
 def evaluate(params: ModelParams, r: int) -> float:
