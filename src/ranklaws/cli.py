@@ -253,9 +253,13 @@ def _encode(obj, indent: str) -> Iterator[str]:
         yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
+def _format_number(v: float) -> str:
+    return f"{v:.4f}" if v == 0 or 1e-4 <= abs(v) < 1e6 else f"{v:.4e}"
+
+
 def _format_params(params: models.ModelParams) -> str:
     return " ".join(
-        f"{'K' if field.name == 'k' else field.name}={getattr(params, field.name):.4f}"
+        f"{'K' if field.name == 'k' else field.name}={_format_number(getattr(params, field.name))}"
         for field in dataclasses.fields(params)
         if field.name != "n"
     )

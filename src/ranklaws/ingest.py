@@ -101,6 +101,8 @@ class IngestOptions(Checked):
 def _as_values(values) -> np.ndarray:
     """``values`` as a one-dimensional float64 array, not copied if it is one already."""
     try:
+        if np.iscomplexobj(values):  # numpy would drop the imaginary parts with only a warning
+            raise TypeError("got complex values")
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, or an int past double range
         raise ValidationError(f"values must be real numbers: {exc}") from None

@@ -344,6 +344,9 @@ class TestParamSummary:
             (rl.MandelbrotParams(rho=3.5, epsilon=-0.125, n=9), "rho=3.5000 epsilon=-0.1250"),
             (rl.LavaletteParams(k=0.5, b=0.75, n=9), "K=0.5000 b=0.7500"),
             (rl.BetaLikeParams(k=0.0273, a=0.4058, b=0.991, n=9), "K=0.0273 a=0.4058 b=0.9910"),
+            # The beta-like fit of nineteen values of 1e210: outside 1e-4 <= |v| < 1e6, .4e.
+            (rl.BetaLikeParams(k=1.0000000000000402e+210, a=5.344688343059086e-29, b=-5.297033824032705e-29, n=19),
+             "K=1.0000e+210 a=5.3447e-29 b=-5.2970e-29"),
         ],
     )
     def test_format_params(self, params, text):

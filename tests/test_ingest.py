@@ -102,8 +102,11 @@ class TestRankRaw:
         assert str(by_rank_raw.value) == str(by_series.value)
 
     @pytest.mark.parametrize("make", [rl.RankedSeries, rl.rank_raw], ids=["RankedSeries", "rank_raw"])
-    @pytest.mark.parametrize("values", [["x", "1"], [[1, 2], [3]], "abc", [1j, 1], {"a": 1}, [object()], [10**400, 1]],
-                             ids=["str", "ragged", "bare-str", "complex", "dict", "object", "huge-int"])
+    @pytest.mark.parametrize("values", [["x", "1"], [[1, 2], [3]], "abc", [1j, 1], np.array([2 + 5j, 1]),
+                                        [np.complex128(2 + 5j), 1.0], np.array([2 + 0j, 1]), {"a": 1}, [object()],
+                                        [10**400, 1]],
+                             ids=["str", "ragged", "bare-str", "complex", "complex-array", "numpy-complex",
+                                  "complex-zero-imaginary", "dict", "object", "huge-int"])
     def test_non_numeric_values_are_validation_errors(self, make, values):
         with pytest.raises(rl.ValidationError, match="^values must be real numbers: "):
             make(values)
