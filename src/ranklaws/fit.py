@@ -16,7 +16,9 @@ here because both surprise users:
   closed-form, and rho itself is found by golden-section search on that
   profiled objective over [-0.99, 10 N]. The search assumes one minimum in
   the bracket, which the profile need not have, so its result is compared
-  with both bracket ends and the best of the three is kept.
+  with both bracket ends and the best of the three is kept. A fit costs the
+  search's golden-section probes plus these three end-comparison profiles,
+  whose slopes are kept, so the chosen rho is not profiled again.
 
 A law's free-parameter count is its number of fields other than n; a fit
 needs one value more than that. Goodness of fit is the log-space
@@ -99,8 +101,8 @@ def _require_length(series: RankedSeries, minimum: int, what: str) -> None:
         raise InsufficientDataError(f"{what} needs at least {minimum} values, got {series.n}")
 
 
-def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
-    """Score ``params`` against ``series``: residuals, SSE and R^2, all finite.
+def _finalize(log_obs: np.ndarray, params: models.ModelParams, warnings: tuple[str, ...] = ()) -> FitReport:
+    """Score ``params`` against the log values of a series: residuals, SSE and R^2, all finite.
 
     Exponents fitted to a series spanning hundreds of decades can make the
     tabulated law overflow or underflow; that is raised as a FitError
@@ -108,8 +110,7 @@ def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[
     not finite makes the SSE not finite.
     """
     with np.errstate(all="ignore"):
-        log_obs = np.log(series.values)
-        residuals = log_obs - np.log(models.model_values(params, series.n))
+        residuals = log_obs - np.log(models.model_values(params, log_obs.size))
         sse = float(residuals @ residuals)
         if np.all(log_obs == log_obs[0]):  # constant series: no total sum of squares
             r_squared = 1.0 if sse <= 1e-20 else 0.0
@@ -124,7 +125,7 @@ def _finalize(series: RankedSeries, params: models.ModelParams, warnings: tuple[
         r_squared=r_squared,
         log_sse=sse,
         residuals=residuals,
-        n=series.n,
+        n=log_obs.size,
         warnings=warnings,
     )
 
@@ -146,7 +147,7 @@ def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
     finite in double precision, and ValidationError when ``fitted`` carries
     another length than ``observed``.
     """
-    return _finalize(observed, fitted).r_squared
+    return _finalize(np.log(observed.values), fitted).r_squared
 
 
 def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
@@ -156,7 +157,8 @@ def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     log_depletion = log_rank[::-1]  # N+1-r runs over the same integers as r
     design = np.column_stack([d * log_depletion - p * log_rank for d, p in law.exponents.values()])
     del log_depletion, log_rank
-    coef, intercept = _centered_ols(design, np.log(series.values))
+    y = np.log(series.values)
+    coef, intercept = _centered_ols(design, y)
     try:
         k = math.exp(intercept)
     except OverflowError:
@@ -166,7 +168,7 @@ def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     values = {"k": k, "n": series.n}
     # + 0.0 turns the -0.0 an exact-zero slope can come out as into 0.0.
     values.update((name, float(c) + 0.0) for name, c in zip(law.exponents, coef))
-    return _finalize(series, law(**{field.name: values[field.name] for field in fields(law)}))
+    return _finalize(y, law(**{field.name: values[field.name] for field in fields(law)}))
 
 
 def fit_zipf(series: RankedSeries) -> FitReport:
@@ -217,9 +219,8 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
             d = a + (b - a) * _INVPHI
             fd = objective(d)
     mid = (a + b) / 2.0
-    rho = min(mid, lo, hi, key=objective)
-
-    slope = accel.mandelbrot_profile(y, rho)[0]
+    # min keeps the first of equal SSEs, so the search's point wins ties.
+    rho, slope, _ = min(((r, *accel.mandelbrot_profile(y, r)) for r in (mid, lo, hi)), key=lambda c: c[2])
     warnings: tuple[str, ...] = ()
     edge = 1e-6 * (hi - lo)
     if rho <= lo + edge or rho >= hi - edge:
@@ -231,7 +232,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
                     f"point rho={mid:.6g}")
         warnings = (f"{text}; fit may be unreliable",)
     params = models.MandelbrotParams(rho=rho, epsilon=slope - 1.0, n=series.n)
-    return _finalize(series, params, warnings)
+    return _finalize(y, params, warnings)
 
 
 def fit_model(series: RankedSeries, tag: str) -> FitReport:

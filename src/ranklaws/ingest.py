@@ -129,31 +129,6 @@ def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None 
     return RankedSeries(arr[order], sorted_labels)
 
 
-def _parse_value(cell: str, line: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(f"could not parse value {cell!r} as a number", line=line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"value {cell!r} is not finite", line=line)
-    return value
-
-
-def _parse_rank(cell: str, line: int) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"could not parse rank {cell!r} as an integer", line=line) from None
-
-
-def _looks_numeric(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def parse_csv(
     text: str, options: IngestOptions | None = None, *, labels: bool = True
 ) -> tuple[RankedSeries, list[str]]:
@@ -164,8 +139,9 @@ def parse_csv(
     * raw:        ``value`` or ``label,value``
     * pre-ranked: ``rank,value`` or ``rank,label,value``
 
-    An optional header row is recognized by its value cell failing numeric
-    parse, and blank rows are skipped. Under the "drop" policy, rows with
+    Blank rows are skipped, and the first non-blank row is a header when
+    its value cell does not convert to a float (``inf`` and ``nan`` do, so
+    they are errors, not headers). Under the "drop" policy, rows with
     non-positive values are dropped and reported in the warnings; in
     pre-ranked mode the surviving rows are re-numbered densely after the
     original ranks have been validated as a permutation of 1..n. One
@@ -250,8 +226,10 @@ def _read_rows(reader, options: IngestOptions, labels: bool):
     without stripping: ``float`` and ``int`` strip a subset of what
     ``str.strip`` does, so they read such a cell as its stripped text. Every
     other row (blank, the first, faulty, or one to drop) is stripped and
-    checked in the order that picks which error to report. Dropped rows
-    stay in the values until their ranks are validated.
+    checked in the order that picks which error to report; the first
+    non-blank row is the header exactly when ``float`` of its stripped value
+    cell raises. Dropped rows stay in the values until their ranks are
+    validated.
     """
     pre_ranked = options.mode == "pre-ranked"
     widths = (2, 3) if pre_ranked else (1, 2)
@@ -283,14 +261,22 @@ def _read_rows(reader, options: IngestOptions, labels: bool):
                     )
                 if labels and width == widths[1]:
                     row_labels = []
-                if not _looks_numeric(cells[-1]):
+            elif len(cells) != width:
+                raise ParseError(f"expected {width} columns, found {len(cells)}", line=line)
+            try:
+                value = float(cells[-1])
+            except ValueError:
+                if not (values or header):  # the first non-blank row is a header
                     header = True
                     continue
-            if len(cells) != width:
-                raise ParseError(f"expected {width} columns, found {len(cells)}", line=line)
-            value = _parse_value(cells[-1], line)
+                raise ParseError(f"could not parse value {cells[-1]!r} as a number", line=line) from None
+            if not math.isfinite(value):
+                raise ParseError(f"value {cells[-1]!r} is not finite", line=line)
             if pre_ranked:
-                rank = _parse_rank(cells[0], line)
+                try:
+                    rank = int(cells[0])
+                except ValueError:
+                    raise ParseError(f"could not parse rank {cells[0]!r} as an integer", line=line) from None
             if value <= 0:
                 if options.zero_policy == "reject":
                     raise ValidationError(f"non-positive value {value!r}", line=line)

@@ -2,18 +2,45 @@
 
 ``_parse_rows`` lists every row ``csv.reader`` gives before it converts
 any, so it reports a malformed record anywhere in the text before an error
-in a cell. It expects text without a leading byte-order mark.
+in a cell. It expects text without a leading byte-order mark. It holds its
+own cell converters, so it does not share code with the parser it checks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
 from ranklaws.errors import ParseError, ValidationError
-from ranklaws.ingest import IngestOptions, RankedSeries, _looks_numeric, _parse_rank, _parse_value, rank_raw
+from ranklaws.ingest import IngestOptions, RankedSeries, rank_raw
+
+
+def _parse_value(cell: str, line: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"could not parse value {cell!r} as a number", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"value {cell!r} is not finite", line=line)
+    return value
+
+
+def _parse_rank(cell: str, line: int) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ParseError(f"could not parse rank {cell!r} as an integer", line=line) from None
+
+
+def _looks_numeric(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_rows(text: str, options: IngestOptions, labels: bool = True) -> tuple[RankedSeries, list[str]]:

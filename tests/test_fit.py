@@ -309,6 +309,29 @@ class TestOlsProperties:
             best = min(accel.mandelbrot_profile(y, rho)[1] for rho in grid)
             assert best >= rep.log_sse * (1.0 - 1e-8), f"draw {draw}: grid SSE {best!r} < fitted {rep.log_sse!r}"
 
+    @pytest.mark.parametrize("source", ["fixture", "lower-end", "interior"])
+    def test_mandelbrot_profiles_the_chosen_rho_once(self, monkeypatch, source):
+        # The search's point, then both bracket ends, are the last profile
+        # calls: the fit keeps their slopes instead of profiling its rho again.
+        if source == "fixture":
+            series, _ = rl.parse_csv(FIXTURE.read_text(), rl.IngestOptions())
+        elif source == "lower-end":
+            series = rl.RankedSeries(np.array(self.LOW_EDGE_VALUES))
+        else:
+            series = rl.curve(rl.MandelbrotParams(rho=3.0, epsilon=0.2, n=50))
+        profile, calls = accel.mandelbrot_profile, []
+
+        def counted(y, rho):
+            calls.append(rho)
+            return profile(y, rho)
+
+        monkeypatch.setattr(accel, "mandelbrot_profile", counted)
+        rep = rl.fit_mandelbrot(series)
+        assert calls[-2:] == [-0.99, 10.0 * series.n]
+        assert rep.params.rho in calls[-3:]
+        if source == "fixture":  # 66 golden-section probes, then the three end-comparison calls
+            assert len(calls) == 69
+
     def test_mandelbrot_search_ends_on_large_series(self, monkeypatch):
         # Near rho = 10 N float spacing exceeds the absolute tolerance; the
         # search must still end. Raising past the cap turns a hang into a failure.
@@ -384,12 +407,13 @@ class TestCompareModels:
 class TestPeakMemory:
     # tracemalloc peaks beyond the series at n = 2*10^5, in doubles per
     # value; each bound is the reading plus 0.5. A fit peaks in _finalize,
-    # which holds the log values, the law and its log, the residuals and
-    # the report's copy of them (4 n), while the fitter still holds its
-    # design, one column per exponent, or mandelbrot its log values: 5 n,
-    # and 6 n for beta-like. compare holds the first three reports'
-    # residuals during the beta-like fit: 9 n.
+    # which scores with the log values its fitter took and holds besides
+    # the law and its log, the residuals and the report's copy of them:
+    # 4 n for mandelbrot. The log-linear fitters still hold their design,
+    # one column per exponent: 5 n, and 6 n for beta-like. compare holds
+    # the first three reports' residuals during the beta-like fit: 9 n.
     N = 200_000
+    BOUNDS = {"zipf": 5.5, "mandelbrot": 4.5, "lavalette": 5.5}
 
     @pytest.fixture(scope="class")
     def series(self):
@@ -401,11 +425,11 @@ class TestPeakMemory:
         assert rep.n == self.N
         assert peak <= 6.5 * self.N * 8
 
-    @pytest.mark.parametrize("tag", ["zipf", "mandelbrot", "lavalette"])
+    @pytest.mark.parametrize("tag", list(BOUNDS))
     def test_fit_holds_few_copies_of_the_series(self, series, tag):
         rep, peak = traced_peak(rl.fit_model, series, tag)
         assert rep.n == self.N
-        assert peak <= 5.5 * self.N * 8
+        assert peak <= self.BOUNDS[tag] * self.N * 8
 
     def test_compare_holds_few_copies_of_the_series(self, series):
         comp, peak = traced_peak(rl.compare_models, series)

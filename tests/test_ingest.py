@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ranklaws as rl
+import ingest_reference
 from ingest_reference import _parse_rows
 from ranklaws import ingest
 
@@ -369,6 +372,14 @@ class TestColumnPath:
     @example(('rank,label,value\n2,"a\nb",4.0\n1,c,5.0\n2,d,3.0\n', rl.IngestOptions(mode="pre-ranked")))
     @example(("1,5\n99999999999999999999,4\n99999999999999999999,3\n", rl.IngestOptions(mode="pre-ranked")))
     @example(("1,5\n4611686018427387904,4\n-4611686018427387904,3\n", rl.IngestOptions(mode="pre-ranked")))
+    # First rows the header rule decides: a value cell that converts is data or an error, never a header.
+    @example(("inf\n2.0\n", rl.IngestOptions()))
+    @example(("nan\n2.0\n", rl.IngestOptions()))
+    @example(("1e400\n2.0\n", rl.IngestOptions()))
+    @example(("journal,\na,4.0\nb,2.0\n", rl.IngestOptions()))  # an empty value cell: a header
+    @example(("1_000\n2.0\n", rl.IngestOptions()))
+    @example(("x,4.0\n1,2.0\n", rl.IngestOptions(mode="pre-ranked")))  # a rank error, not a header
+    @example(("\ufeffjournal,impact\na,4.0\nb,2.0\n", rl.IngestOptions()))
     @settings(max_examples=400, deadline=None)
     def test_same_result_as_row_loop(self, table):
         text, options = table
@@ -385,6 +396,12 @@ class TestColumnPath:
                 assert _outcome(rl.parse_csv, text, options, labels=False) == unlabelled
         finally:
             ingest._SLICE = saved
+
+    def test_reference_holds_its_own_converters(self):
+        tree = ast.parse(Path(ingest_reference.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "ranklaws.ingest" for alias in node.names]
+        assert imported and not [name for name in imported if name.startswith("_")]
 
     @pytest.mark.parametrize(
         "text, options, values, labels",
