@@ -1,11 +1,11 @@
 """The numeric kernels of the Simon process and the mandelbrot fit.
 
 ``simon_owners`` allocates one block of Simon steps to sources, and
-``mandelbrot_profile`` is the no-intercept regression evaluated once per
-golden-section probe of rho. Neither dominates a CLI run, where parsing
-and encoding do. They are kept apart from their callers, which look them
-up on this module at call time, so that the benchmark's layer trace can
-time them here.
+``mandelbrot_profile`` is the no-intercept regression evaluated at each
+golden-section probe of rho and at the three end-comparison points.
+Neither dominates a CLI run, where parsing and encoding do. They are kept
+apart from their callers, which look them up on this module at call
+time, so that the benchmark's layer trace can time them here.
 
 The Simon kernel resolves one block of items per call. Its caller holds
 the owners of every item, the only steps-long array, and draws each
@@ -21,10 +21,6 @@ import numpy as np
 
 # No compiled backend exists; kept because benchmark import probes read it.
 NUMBA_ENABLED = False
-
-# Items per call of simon_owners in ``generate.simulate_simon``: the block
-# arrays stay a few MB at most.
-_BLOCK = 1 << 16
 
 
 def simon_owners(is_new: np.ndarray, u_pick: np.ndarray, owners: np.ndarray, newest: int) -> np.ndarray:

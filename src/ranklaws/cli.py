@@ -110,8 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", parents=[output, model], help="emit a synthetic series as CSV")
     for name, noun in _LAW_FLAGS.items():
-        tags = [tag for tag, law in models.LAWS.items()
-                if name == "n" or any(field.name == name for field in dataclasses.fields(law))]
+        tags = [tag for tag, law in models.LAWS.items() if name == "n" or name in law.parameters()]
         p_gen.add_argument(f"--{name}", type=int if name == "n" else float, help=f"{noun} ({', '.join(tags)})")
     p_gen.add_argument("--sigma", type=float, default=0.0, help="lognormal noise level (default 0)")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -259,9 +258,7 @@ def _format_number(v: float) -> str:
 
 def _format_params(params: models.ModelParams) -> str:
     return " ".join(
-        f"{'K' if field.name == 'k' else field.name}={_format_number(getattr(params, field.name))}"
-        for field in dataclasses.fields(params)
-        if field.name != "n"
+        f"{'K' if name == 'k' else name}={_format_number(getattr(params, name))}" for name in params.parameters()
     )
 
 
@@ -298,15 +295,14 @@ def _cmd_compare(args) -> int:
 
 def _params_from_flags(args) -> models.ModelParams:
     law = models.LAWS[args.model]
-    fields = [field.name for field in dataclasses.fields(law)]
-    needed = ["n"] + [name for name in fields if name != "n"]
+    needed = ["n", *law.parameters()]
     supplied = {f: getattr(args, f) for f in _LAW_FLAGS}
     if any(supplied[f] is None for f in needed):
         raise ValidationError(f"model {args.model} requires " + " ".join(f"--{f}" for f in needed))
     extra = [f for f, v in supplied.items() if v is not None and f not in needed]
     if extra:
         raise ValidationError(f"--{extra[0]} does not apply to model {args.model}")
-    return law(**{name: supplied[name] for name in fields})
+    return law(**{field.name: supplied[field.name] for field in dataclasses.fields(law)})
 
 
 def _cmd_generate(args) -> int:

@@ -20,8 +20,8 @@ here because both surprise users:
   search's golden-section probes plus these three end-comparison profiles,
   whose slopes are kept, so the chosen rho is not profiled again.
 
-A law's free-parameter count is its number of fields other than n; a fit
-needs one value more than that. Goodness of fit is the log-space
+A fit needs one value more than the law has free parameters, the names
+its ``parameters()`` returns. Goodness of fit is the log-space
 coefficient of determination R^2. For a constant series the total sum of
 squares vanishes; by convention R^2 is 1 when the model reproduces the
 data (SSE <= 1e-20) and 0 otherwise.
@@ -91,11 +91,6 @@ class ComparisonReport:
         raise KeyError(tag)
 
 
-def _param_count(law: type) -> int:
-    """Free parameters of a law: every field but the series length n."""
-    return sum(field.name != "n" for field in fields(law))
-
-
 def _require_length(series: RankedSeries, minimum: int, what: str) -> None:
     if series.n < minimum:
         raise InsufficientDataError(f"{what} needs at least {minimum} values, got {series.n}")
@@ -152,7 +147,7 @@ def r_squared_log(observed: RankedSeries, fitted: models.ModelParams) -> float:
 
 def _fit_log_linear(series: RankedSeries, law: type) -> FitReport:
     """OLS of log value on one column d log(N+1-r) - p log r per exponent field."""
-    _require_length(series, _param_count(law) + 1, f"{law.model} fit")
+    _require_length(series, len(law.parameters()) + 1, f"{law.model} fit")
     log_rank = np.log(np.arange(1.0, series.n + 1.0))
     log_depletion = log_rank[::-1]  # N+1-r runs over the same integers as r
     design = np.column_stack([d * log_depletion - p * log_rank for d, p in law.exponents.values()])
@@ -198,7 +193,7 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     warning on the report that names the end and says whether the search
     itself converged there or the end comparison beat the search's point.
     """
-    _require_length(series, _param_count(models.MandelbrotParams) + 1, "mandelbrot fit")
+    _require_length(series, len(models.MandelbrotParams.parameters()) + 1, "mandelbrot fit")
     y = np.log(series.values)
     lo, hi = _RHO_LOWER, 10.0 * series.n
 
@@ -248,7 +243,7 @@ def fit_model(series: RankedSeries, tag: str) -> FitReport:
 
 def compare_models(series: RankedSeries) -> ComparisonReport:
     """Fit all four models and rank them by log-space R^2."""
-    _require_length(series, max(map(_param_count, models.LAWS.values())) + 1, "model comparison")
+    _require_length(series, max(len(law.parameters()) for law in models.LAWS.values()) + 1, "model comparison")
     reports = []
     for tag in models.MODEL_TAGS:
         try:
@@ -256,7 +251,7 @@ def compare_models(series: RankedSeries) -> ComparisonReport:
         except FitError as exc:
             raise type(exc)(f"{tag}: {exc}") from exc
     # min keeps the first of equal keys, so exact ties fall to catalog order.
-    best = min(reports, key=lambda rep: (-rep.r_squared, _param_count(type(rep.params))))
+    best = min(reports, key=lambda rep: (-rep.r_squared, len(rep.params.parameters())))
     sse = {rep.model: rep.log_sse for rep in reports}
     nesting_ok = sse["beta-like"] <= sse["zipf"] + 1e-9 and sse["beta-like"] <= sse["lavalette"] + 1e-9
     return ComparisonReport(reports=tuple(reports), best_by_r2=best.model, nesting_ok=nesting_ok)

@@ -15,6 +15,11 @@ from . import accel, models
 from .errors import Checked
 from .ingest import RankedSeries, rank_raw
 
+# Items per call of accel.simon_owners in simulate_simon: the block arrays
+# stay a few MB at most.
+_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class NoiseSpec(Checked):
     """Multiplicative lognormal noise: values are scaled by exp(g), g ~ N(0, sigma^2).
@@ -62,7 +67,7 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     with probability proportional to its count.
 
     The uniforms form one stream: every new-source uniform, then every
-    pick uniform. The steps go in blocks of ``accel._BLOCK``. Each block
+    pick uniform. The steps go in blocks of ``_BLOCK``. Each block
     draws its new-source uniforms, then its pick uniforms from a second
     generator advanced past all the new-source draws, and
     ``accel.simon_owners`` resolves its owners. The owners, 4 bytes per
@@ -76,14 +81,14 @@ def simulate_simon(config: SimonConfig) -> RankedSeries:
     rng_pick.bit_generator.advance(steps - 1)
     owners = np.zeros(steps, dtype=np.int32 if steps <= 2**31 else np.int64)
     newest = 0  # the last source founded; item 0 founds source 0
-    for lo in range(1, steps, accel._BLOCK):
-        hi = min(lo + accel._BLOCK, steps)
+    for lo in range(1, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
         is_new = rng_new.random(hi - lo) < p_new
         accel.simon_owners(is_new, rng_pick.random(hi - lo), owners[:hi], newest)
         newest += int(np.count_nonzero(is_new))
     # bincount copies its input to int64: a chunk no longer than the tally
     # keeps that copy within the tally's size.
-    chunk = max(newest + 1, accel._BLOCK)
+    chunk = max(newest + 1, _BLOCK)
     counts = np.zeros(newest + 1, dtype=np.int64)
     for lo in range(0, steps, chunk):
         counts += np.bincount(owners[lo : lo + chunk], minlength=newest + 1)

@@ -8,10 +8,11 @@ Each law maps an integer rank r = 1..N to a positive value:
 * beta-like:   f(r) = K (N + 1 - r)^b / r^a
 
 Every per-law fact lives in one table: the parameter dataclasses below,
-listed in catalog order in ``LAWS``. A class's fields (in order) are its
-parameters; ``model`` is its tag; for the K-bearing laws ``exponents``
-maps each exponent field to its powers (on N+1-r, on 1/r). Validation,
-evaluation, fitting and the CLI text are all derived from these.
+listed in catalog order in ``LAWS``. ``parameters()`` names a class's
+free parameters, its fields but the length n; ``model`` is its tag; for
+the K-bearing laws ``exponents`` maps each exponent field to its powers
+(on N+1-r, on 1/r). Validation, evaluation, fitting and the CLI text are
+all derived from these.
 
 The three K-bearing laws are then one expression K (N+1-r)^b / r^a with
 b and a summed from ``exponents``, so the beta-like law nests the others
@@ -22,7 +23,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import math
@@ -39,6 +40,11 @@ class _Law(Checked):
     model: ClassVar[str]
     #: Exponent field -> (power on N+1-r, power on 1/r); empty for mandelbrot.
     exponents: ClassVar[dict[str, tuple[int, int]]] = {}
+
+    @classmethod
+    def parameters(cls) -> tuple[str, ...]:
+        """The law's free parameters: its field names other than the series length n, in field order."""
+        return tuple(field.name for field in fields(cls) if field.name != "n")
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,6 @@ LAWS = {law.model: law for law in (ZipfParams, MandelbrotParams, LavaletteParams
 MODEL_TAGS = tuple(LAWS)
 
 
-def law_length(params: ModelParams, default: int | None = None) -> int | None:
-    """The series length ``params`` carry; zipf carries none and gets ``default``."""
-    return default if isinstance(params, ZipfParams) else params.n
-
-
 def _law_values(params: ModelParams, r: np.ndarray, n) -> np.ndarray:
     """Value of the law at the float64 rank(s) ``r`` of a length-``n`` series."""
     if isinstance(params, MandelbrotParams):
@@ -130,7 +131,7 @@ def evaluate(params: ModelParams, r: int) -> float:
     """
     check("rank", r)
     r = int(r)
-    n = law_length(params, r)  # zipf puts power 0 on N+1-r, so any N >= r will do
+    n = getattr(params, "n", r)  # a law without n puts power 0 on N+1-r, so any N >= r will do
     if r > n:
         raise ValidationError(f"rank {r} outside valid range 1..{n}")
     # A one-element array takes model_values' ufunc loops, so the bits match
@@ -145,16 +146,16 @@ def evaluate(params: ModelParams, r: int) -> float:
 def model_values(params: ModelParams, n: int | None = None) -> np.ndarray:
     """Tabulate the law over ranks 1..n as a float64 array.
 
-    The integer ``n`` defaults to ``params.n``; zipf carries no length, so it
-    must be given, and for the other laws it must match ``params.n``. Unlike
+    The integer ``n`` defaults to ``params.n``; a law without n (zipf) needs
+    it given, and for the other laws it must match ``params.n``. Unlike
     :func:`curve` this applies no monotonicity check, so it also serves
     fitted parameter sets whose exponents fall outside the decreasing
     regime.
     """
-    if n is None and (n := law_length(params)) is None:
-        raise ValidationError("zipf needs an explicit length n")
+    if n is None and (n := getattr(params, "n", None)) is None:
+        raise ValidationError(f"{params.model} needs an explicit length n")
     check("n", n)
-    if law_length(params, n) != n:
+    if getattr(params, "n", n) != n:
         raise ValidationError(f"requested length {n} does not match params n={params.n}")
     return _law_values(params, np.arange(1, n + 1, dtype=np.float64), n)
 

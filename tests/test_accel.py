@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ranklaws import accel
+from ranklaws import accel, generate
 from conftest import traced_peak
 
 
@@ -30,7 +30,7 @@ def reference_simon_owners(u_new, u_pick, p_new):
     return owners
 
 
-BLOCK = accel._BLOCK
+BLOCK = generate._BLOCK
 
 
 def run_kernel(is_new, u_pick, dtype=np.int64):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ranklaws as rl
-from ranklaws import accel
+from ranklaws import generate
 from conftest import cpu_features, traced_peak
 from test_accel import reference_simon_owners
 
@@ -136,7 +136,7 @@ class TestSimulateSimon:
         assert series.n < steps / 4
         assert series.values[0] > 10 * np.median(series.values)
 
-    @pytest.mark.parametrize("steps", [accel._BLOCK, accel._BLOCK + 2])
+    @pytest.mark.parametrize("steps", [generate._BLOCK, generate._BLOCK + 2])
     def test_uniforms_drawn_in_one_stream(self, steps):
         # Both kinds of uniforms are drawn a block at a time, the picks from
         # a second generator; the result must equal one draw of all the
@@ -150,7 +150,7 @@ class TestSimulateSimon:
     def test_counts_tallied_across_block_spans(self):
         # With nearly every step a new source, there are more sources than
         # items in a block, so one tally spans several blocks.
-        steps = 4 * accel._BLOCK + 3
+        steps = 4 * generate._BLOCK + 3
         rng = np.random.default_rng(8)
         owners = reference_simon_owners(rng.random(steps - 1), rng.random(steps - 1), 0.95)
         expected = rl.rank_raw(np.bincount(owners).astype(np.float64))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 import ranklaws as rl
+from ranklaws import cli, models
 from conftest import random_beta_like, random_lavalette, random_mandelbrot, random_zipf, ulp_diff
 
 
@@ -197,7 +200,7 @@ class TestCurve:
         ]
         for params, outside in cases:
             with np.errstate(all="ignore"):
-                table = rl.model_values(params, rl.models.law_length(params, 25)).tolist()
+                table = rl.model_values(params, getattr(params, "n", 25)).tolist()
             assert {rank for rank, value in enumerate(table, 1) if not 0.0 < value < math.inf} == outside
             for rank, value in enumerate(table, 1):
                 if rank in outside:
@@ -349,3 +352,48 @@ class TestIntsPastDecimalLimit:
         with pytest.raises(rl.ValidationError) as info:
             rl.evaluate(rl.ZipfParams(k=1, alpha=1), 2**64)
         assert str(info.value) == "rank must be at most 2**53, got 18446744073709551616"
+
+
+@dataclass(frozen=True)
+class FlatParams(models._Law):
+    """Zipf under another tag: a law without n declared in its dataclass alone."""
+
+    k: float
+    alpha: float
+
+    model: ClassVar[str] = "flat"
+    exponents: ClassVar[dict[str, tuple[int, int]]] = models.ZipfParams.exponents
+
+
+class TestLawWithoutLength:
+    """A new law without n needs no edit outside its own dataclass."""
+
+    flat = FlatParams(k=2.0, alpha=0.7)
+    zipf = rl.ZipfParams(k=2.0, alpha=0.7)
+
+    def test_parameters_in_field_order(self):
+        assert [law.parameters() for law in models.LAWS.values()] == [
+            ("k", "alpha"), ("rho", "epsilon"), ("k", "b"), ("k", "a", "b"),
+        ]
+        assert FlatParams.parameters() == ("k", "alpha")
+
+    def test_tabulates_as_zipf(self):
+        assert rl.model_values(self.flat, 9).tobytes() == rl.model_values(self.zipf, 9).tobytes()
+        assert rl.evaluate(self.flat, 10**6) == rl.evaluate(self.zipf, 10**6)
+
+    def test_length_error_names_the_law(self):
+        with pytest.raises(rl.ValidationError) as info:
+            rl.model_values(self.flat)
+        assert str(info.value) == "flat needs an explicit length n"
+
+    def test_fits_as_zipf(self, monkeypatch):
+        monkeypatch.setitem(models.LAWS, "flat", FlatParams)
+        series = rl.generate_synthetic(self.zipf, rl.NoiseSpec(sigma=0.1, seed=3), n=50)
+        flat, zipf = rl.fit_model(series, "flat"), rl.fit_zipf(series)
+        assert (flat.params.k, flat.params.alpha, flat.log_sse) == (zipf.params.k, zipf.params.alpha, zipf.log_sse)
+        with pytest.raises(rl.InsufficientDataError) as info:
+            rl.fit_model(rl.RankedSeries([2.0, 1.0]), "flat")
+        assert str(info.value) == "flat fit needs at least 3 values, got 2"
+
+    def test_summary_text(self):
+        assert cli._format_params(self.flat) == "K=2.0000 alpha=0.7000"
