@@ -715,6 +715,14 @@ class TestCsvWriters:
         assert len(chunks) == 3
         assert "".join(chunks) == "".join(_reference_value(v) + "\n" for v in values.tolist())
 
+    def test_series_csv_runs_across_slices(self):
+        # Runs of 1000 equal values, three of them crossing a slice edge, the last one cut short.
+        n = 3 * cli._LIST_SLICE + 5
+        values = np.repeat(np.arange(n // 1000 + 1, 0, -1) / 8.0, 1000)[:n]
+        chunks = list(cli._series_csv(rl.RankedSeries(values)))
+        assert [chunk.count("\n") for chunk in chunks] == [cli._LIST_SLICE] * 3 + [5]
+        assert "".join(chunks) == "".join(_reference_value(v) + "\n" for v in values.tolist())
+
     def test_plotdata_matches_per_element_format(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("".join(f"{v!r}\n" for v in self.VALUES))

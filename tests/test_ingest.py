@@ -132,6 +132,24 @@ class TestRankRaw:
         assert np.all(s.values > 0)
         assert np.all(np.isfinite(s.values))
 
+    @given(st.lists(st.sampled_from([1e-300, 5e-324, 0.1, 1.0, 2.0, 3.5, 2.0**60, 1e300]), min_size=1, max_size=80),
+           st.sampled_from([None, math.nan, 0.0, -0.0, -2.0]), st.integers(min_value=0))
+    @settings(max_examples=300, deadline=None)
+    def test_unlabelled_matches_stable_argsort(self, values, bad, where):
+        # Without labels rank_raw sorts the values, not their indices: the same series bit for bit on
+        # tie-heavy input, and the same error text where an entry is not finite and positive.
+        if bad is not None:
+            values.insert(where % (len(values) + 1), bad)
+        arr = np.array(values)
+        try:
+            expected = rl.RankedSeries(arr[np.argsort(-arr, kind="stable")])
+        except rl.ValidationError as exc:
+            with pytest.raises(rl.ValidationError) as info:
+                rl.rank_raw(arr)
+            assert str(info.value) == str(exc)
+        else:
+            assert rl.rank_raw(arr).values.tobytes() == expected.values.tobytes()
+
     @given(st.lists(positive_floats, min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_idempotent_through_round_trip(self, values):
@@ -167,6 +185,15 @@ class TestParseCsvRaw:
         assert series.values.tolist() == [4.0, 2.0]
         assert len(warnings) == 1
         assert "line 2" in warnings[0]
+
+    def test_unlabelled_drop_gives_labelled_values(self):
+        text = "a,4.0\nb,0\nc,2.0\nd,4.0\ne,-1\nf,2.0\ng,9.5\n"
+        options = rl.IngestOptions(zero_policy="drop")
+        labelled, labelled_warnings = rl.parse_csv(text, options)
+        unlabelled, warnings = rl.parse_csv(text, options, labels=False)
+        assert unlabelled.values.tobytes() == labelled.values.tobytes()
+        assert unlabelled.labels is None and labelled.labels == ("g", "a", "d", "c", "f")
+        assert warnings == labelled_warnings and len(warnings) == 2
 
     def test_reject_policy_names_line(self):
         with pytest.raises(rl.ValidationError, match="line 2"):

@@ -1,8 +1,9 @@
-"""Process start-up: the lazy package import and the CLI's BLAS thread default.
+"""Process start-up: the lazy package import, the CLI's BLAS thread default and its frozen heap.
 
 Each test runs a fresh interpreter, since what is checked happens once per
-process: which modules ``import ranklaws`` loads, and whether the CLI sets
-``OPENBLAS_NUM_THREADS`` before numpy loads.
+process: which modules ``import ranklaws`` loads, whether the CLI sets
+``OPENBLAS_NUM_THREADS`` before numpy loads, and which entry points freeze
+the heap for the garbage collector.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import ranklaws as rl
 SRC = str(Path(rl.__file__).resolve().parent.parent)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SUBMODULES = ("errors", "ingest", "models", "fit", "generate", "accel")
+FIXTURE = str(Path(__file__).parent / "data" / "betalike_n200_sigma01_seed42.csv")
 # Threads of the current process on Linux; -1 where /proc is missing.
 COUNT_THREADS = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1"
 
@@ -130,3 +132,37 @@ class TestBlasThreadDefault:
         # Compared line by line: a diff of two 10^4-line strings takes pytest minutes.
         assert len(default) == len(single)
         assert [pair for pair in zip(default, single) if pair[0] != pair[1]][:5] == []
+
+
+class TestHeapFreeze:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_import_leaves_collector_alone(self, enabled):
+        code = (
+            "import gc, json\n"
+            f"{'' if enabled else 'gc.disable()'}\n"
+            "import ranklaws.cli\n"
+            "print(json.dumps([gc.get_freeze_count(), gc.isenabled()]))"
+        )
+        assert run_code(code) == [0, enabled]
+
+    def test_module_entry_point_freezes_heap(self):
+        code = (
+            "import contextlib, gc, io, json, runpy, sys\n"
+            "sys.argv = ['ranklaws', '--help']\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    try:\n        runpy.run_module('ranklaws', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exc:\n        code = exc.code\n"
+            "print(json.dumps([code, out.getvalue().startswith('usage: ranklaws'), gc.get_freeze_count() > 0]))"
+        )
+        assert run_code(code) == [0, True, True]
+
+    def test_in_process_main_leaves_freeze_count(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        code = (
+            "import gc, json\n"
+            "from ranklaws.cli import main\n"
+            "before = gc.get_freeze_count()\n"
+            f"status = main(['compare', {FIXTURE!r}, '--quiet', '--output', {out!r}])\n"
+            "print(json.dumps([status, before, gc.get_freeze_count()]))"
+        )
+        assert run_code(code) == [0, 0, 0]
