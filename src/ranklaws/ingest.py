@@ -119,7 +119,8 @@ def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None 
     positive; there is no drop policy at this level. Without labels the
     values themselves are sorted, several times faster than sorting their
     indices: equal positive doubles have the same bits, so the series is
-    the same.
+    the same. With labels, the labels are gathered before the values, so
+    the sorted values are not held while the list of indices is.
     """
     arr = _as_values(values)
     if labels is None:
@@ -128,7 +129,8 @@ def rank_raw(values: Sequence[float] | np.ndarray, labels: Sequence[str] | None 
     if len(labels) != arr.size:
         raise ValidationError(f"got {len(labels)} labels for {arr.size} values")
     order = np.argsort(-arr, kind="stable")
-    return RankedSeries(arr[order], tuple(map(labels.__getitem__, order.tolist())))
+    labels = tuple(map(labels.__getitem__, order.tolist()))
+    return RankedSeries(arr[order], labels)
 
 
 def parse_csv(
@@ -152,12 +154,11 @@ def parse_csv(
     the series has no labels.
 
     The text goes through ``csv.reader`` once, in slices of about 10^6
-    characters; each row leaves only its value, rank and kept label behind.
-    A malformed CSV record anywhere in the text is reported before an error
-    in any cell. Raw rows without kept labels are filtered of dropped rows
-    and handed to ``rank_raw``. Other rows are ordered (by validated rank,
-    or by ``rank_raw``'s stable sort), filtered of dropped rows and
-    gathered, values and labels, once.
+    characters; each row leaves only its value, rank and kept label behind,
+    and a dropped raw row leaves nothing. A malformed CSV record anywhere in
+    the text is reported before an error in any cell. Every raw table is
+    ranked by ``rank_raw``; pre-ranked rows are ordered by validated rank,
+    filtered of dropped rows and gathered, values and labels, once.
     """
     if options is None:
         options = IngestOptions()
@@ -172,30 +173,23 @@ def parse_csv(
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
     if not values:
-        raise ValidationError("input contains no data rows")
+        raise ValidationError(_ALL_DROPPED if warnings else "input contains no data rows")
 
     kept = np.frombuffer(values)
-    if options.mode == "raw" and row_labels is None:
-        if warnings:
-            kept = kept[kept > 0]
-            if not kept.size:
-                raise ValidationError(_ALL_DROPPED)
-        return rank_raw(kept), warnings
-    if options.mode == "pre-ranked":
-        ranks = np.frombuffer(ranks, np.int64)
-        order = np.argsort(ranks, kind="stable")
-        ordered = ranks[order]
-        repeats = order[1:][ordered[1:] == ordered[:-1]]
-        if repeats.size:
-            line, cells = _find_row(text, options.delimiter, int(repeats.min()) + header)
-            raise ValidationError(f"duplicate rank {int(cells[0].strip())}", line=line)
-        missing = np.setdiff1d(np.arange(1, kept.size + 1), ordered, assume_unique=True)
-        if missing.size:
-            more = f" and {missing.size - 10} more" if missing.size > 10 else ""
-            raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: "
-                                  f"missing {missing[:10].tolist()}{more}")
-    else:
-        order = np.argsort(-kept, kind="stable")  # rank_raw's sort, carrying the labels
+    if options.mode == "raw":
+        return rank_raw(kept, row_labels), warnings
+    ranks = np.frombuffer(ranks, np.int64)
+    order = np.argsort(ranks, kind="stable")
+    ordered = ranks[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        line, cells = _find_row(text, options.delimiter, int(repeats.min()) + header)
+        raise ValidationError(f"duplicate rank {int(cells[0].strip())}", line=line)
+    missing = np.setdiff1d(np.arange(1, kept.size + 1), ordered, assume_unique=True)
+    if missing.size:
+        more = f" and {missing.size - 10} more" if missing.size > 10 else ""
+        raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: "
+                              f"missing {missing[:10].tolist()}{more}")
     if warnings:
         order = order[kept[order] > 0]
         if not order.size:
@@ -238,8 +232,9 @@ def _read_rows(reader, options: IngestOptions, labels: bool):
     other row (blank, the first, faulty, or one to drop) is stripped and
     checked in the order that picks which error to report; the first
     non-blank row is the header exactly when ``float`` of its stripped value
-    cell raises. Dropped rows stay in the values until their ranks are
-    validated.
+    cell raises. A dropped raw row leaves only its warning; a dropped
+    pre-ranked row stays until its rank is validated. Kept labels are
+    returned as a tuple, which ``rank_raw`` takes without a copy.
     """
     pre_ranked = options.mode == "pre-ranked"
     widths = (2, 3) if pre_ranked else (1, 2)
@@ -262,8 +257,8 @@ def _read_rows(reader, options: IngestOptions, labels: bool):
             cells = [c.strip() for c in cells]
             if not any(cells):
                 continue
-            line = reader.line_num
-            if width is None:
+            line, first = reader.line_num, width is None
+            if first:
                 width = len(cells)
                 if width not in widths:
                     raise ParseError(
@@ -276,7 +271,7 @@ def _read_rows(reader, options: IngestOptions, labels: bool):
             try:
                 value = float(cells[-1])
             except ValueError:
-                if not (values or header):  # the first non-blank row is a header
+                if first:  # the first non-blank row is a header
                     header = True
                     continue
                 raise ParseError(f"could not parse value {cells[-1]!r} as a number", line=line) from None
@@ -291,12 +286,14 @@ def _read_rows(reader, options: IngestOptions, labels: bool):
                 if options.zero_policy == "reject":
                     raise ValidationError(f"non-positive value {value!r}", line=line)
                 warnings.append(f"line {line}: dropped non-positive value {value!r}")
+                if not pre_ranked:
+                    continue
         values.append(value)
         if pre_ranked:
             ranks.append(rank if -_HUGE < rank < _HUGE else _HUGE + huge.setdefault(rank, len(huge)))
         if row_labels is not None:
             row_labels.append(cells[-2].strip())
-    return values, ranks, row_labels, warnings, header
+    return values, ranks, None if row_labels is None else tuple(row_labels), warnings, header
 
 
 def _find_row(text: str, delimiter: str, index: int) -> tuple[int, list[str]]:

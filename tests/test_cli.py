@@ -73,11 +73,13 @@ class TestExitCodes:
     def test_too_short_series_is_fit_error(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("3\n2\n1\n")
-        code = main(["fit", str(path), "--model", "beta-like"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "fit error" in captured.err
+        for args, message in ((["fit", str(path), "--model", "beta-like"], "beta-like fit"),
+                              (["compare", str(path)], "model comparison")):
+            code = main(args)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"ranklaws: fit error: {message} needs at least 4 values, got 3\n"
 
     def test_unknown_flag_is_usage_error(self, capsys, plain_csv):
         code = main(["fit", plain_csv, "--model", "zipf", "--bogus"])

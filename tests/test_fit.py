@@ -150,16 +150,15 @@ class TestReportInvariants:
     def test_insufficient_data_errors(self):
         three = rl.RankedSeries(np.array([3.0, 2.0, 1.0]))
         two = rl.RankedSeries(np.array([3.0, 2.0]))
-        with pytest.raises(rl.InsufficientDataError):
-            rl.fit_zipf(two)
-        with pytest.raises(rl.InsufficientDataError):
-            rl.fit_lavalette(two)
-        with pytest.raises(rl.InsufficientDataError):
-            rl.fit_mandelbrot(two)
-        with pytest.raises(rl.InsufficientDataError):
-            rl.fit_beta_like(three)
-        with pytest.raises(rl.InsufficientDataError):
-            rl.compare_models(three)
+        cases = [(rl.fit_zipf, two, "zipf fit needs at least 3 values, got 2"),
+                 (rl.fit_lavalette, two, "lavalette fit needs at least 3 values, got 2"),
+                 (rl.fit_mandelbrot, two, "mandelbrot fit needs at least 3 values, got 2"),
+                 (rl.fit_beta_like, three, "beta-like fit needs at least 4 values, got 3"),
+                 (rl.compare_models, three, "model comparison needs at least 4 values, got 3")]
+        for fit, series, message in cases:
+            with pytest.raises(rl.InsufficientDataError) as info:
+                fit(series)
+            assert str(info.value) == message
 
     def test_minimum_lengths_accepted(self):
         three = rl.RankedSeries(np.array([3.0, 2.0, 1.0]))

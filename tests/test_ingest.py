@@ -407,6 +407,11 @@ class TestColumnPath:
     @example(("1_000\n2.0\n", rl.IngestOptions()))
     @example(("x,4.0\n1,2.0\n", rl.IngestOptions(mode="pre-ranked")))  # a rank error, not a header
     @example(("\ufeffjournal,impact\na,4.0\nb,2.0\n", rl.IngestOptions()))
+    # Dropped rows: a dropped first row is data, not a header, and dropping every row names the drop.
+    @example(("0\nx\n2.0\n", rl.IngestOptions(zero_policy="drop")))
+    @example(("journal,impact\na,0\nb,-1\n", rl.IngestOptions(zero_policy="drop")))
+    @example(("1,a,0\n2,b,-1\n", rl.IngestOptions(mode="pre-ranked", zero_policy="drop")))
+    @example(("1,0\n1,2.0\n", rl.IngestOptions(mode="pre-ranked", zero_policy="drop")))  # the duplicate wins
     @settings(max_examples=400, deadline=None)
     def test_same_result_as_row_loop(self, table):
         text, options = table
@@ -470,16 +475,32 @@ class TestColumnPath:
         assert series.n == 200_000
         assert peak < 4 * len(text)
 
+    # The labelled bounds are the peaks read before every raw table went through rank_raw
+    # (4.74 and 4.29 times the text), plus 0.25 times the text.
+    def test_labelled_parse_peak_with_dropped_rows(self):
+        text = "journal,impact\n" + "".join(f"J{i:07d},{0 if i % 97 == 0 else v!r}\n" for i, v in enumerate(_impacts()))
+        series, peak = _parse_peak(text, rl.IngestOptions(zero_policy="drop"), labels=True)
+        assert series.n == 200_000 - 2062  # every 97th row is dropped
+        assert peak < (4.74 + 0.25) * len(text)
+
+    def test_labelled_pre_ranked_parse_peak_with_a_dropped_row(self):
+        values = sorted(_impacts(), reverse=True)
+        values[100_000] = 0
+        text = "rank,journal,impact\n" + "".join(f"{i + 1},J{i:07d},{v!r}\n" for i, v in enumerate(values))
+        series, peak = _parse_peak(text, rl.IngestOptions(mode="pre-ranked", zero_policy="drop"), labels=True)
+        assert series.n == 199_999
+        assert peak < (4.29 + 0.25) * len(text)
+
 
 def _impacts() -> list[float]:
     return np.random.default_rng(7).lognormal(size=200_000).tolist()
 
 
-def _parse_peak(text, options):
-    """Parse as the CLI does, without labels; returns the series and the traced peak in bytes."""
+def _parse_peak(text, options, labels=False):
+    """Parse, by default without labels as the CLI does; returns the series and the traced peak in bytes."""
     tracemalloc.start()
     try:
-        series, _ = rl.parse_csv(text, options, labels=False)
+        series, _ = rl.parse_csv(text, options, labels=labels)
         return series, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
