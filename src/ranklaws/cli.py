@@ -154,15 +154,16 @@ def _read_series(args) -> tuple[RankedSeries, list[str], str]:
     return series, warnings, digest
 
 
-def _emit(args, chunks, summary: str | None) -> int:
-    """Write the machine output, an iterable of text chunks, then the summary.
+def _emit(args, chunks, summary: str) -> None:
+    """Write the machine output, an iterable of text chunks, then the summary unless --quiet.
 
     Each chunk is written as it is made, so no step holds the whole text.
     Every check that can fail the command has run before the first chunk.
     Output is flushed before the summary: a failed write, even of the last
     buffered bytes, raises before it and leaves what was written so far.
     A standard stream that was closed at start (None in ``sys``) fails the
-    write that would use it with EBADF.
+    write that would use it with EBADF. Nothing is returned: ``main`` alone
+    sets the exit code.
     """
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -172,9 +173,8 @@ def _emit(args, chunks, summary: str | None) -> int:
         _stdio(sys.stdout).writelines(chunks)
         sys.stdout.flush()
         dest = sys.stderr
-    if summary is not None and not args.quiet:
+    if not args.quiet:
         _stdio(dest).write(summary + "\n")
-    return 0
 
 
 def _stdio(stream):
@@ -284,11 +284,11 @@ def _series_csv(series: RankedSeries) -> Iterator[str]:
         yield "".join(lines)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     series, warnings, digest = _read_series(args)
     rep = fit_model(series, args.model)
     summary = f"{rep.model}: {_format_params(rep.params)} R^2={rep.r_squared:.4f}"
-    return _emit(args, _document(digest, series, warnings, "fit", _fit_payload(rep)), summary)
+    _emit(args, _document(digest, series, warnings, "fit", _fit_payload(rep)), summary)
 
 
 def _comparison_table(comp: ComparisonReport) -> str:
@@ -299,10 +299,10 @@ def _comparison_table(comp: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     series, warnings, digest = _read_series(args)
     comp = compare_models(series)
-    return _emit(args, _document(digest, series, warnings, "comparison", _fit_payload(comp)), _comparison_table(comp))
+    _emit(args, _document(digest, series, warnings, "comparison", _fit_payload(comp)), _comparison_table(comp))
 
 
 def _params_from_flags(args) -> models.ModelParams:
@@ -317,27 +317,27 @@ def _params_from_flags(args) -> models.ModelParams:
     return law(**{field.name: supplied[field.name] for field in dataclasses.fields(law)})
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     params = _params_from_flags(args)
     noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
     # The length and values outside double range are rejected here too.
     series = generate_synthetic(params, noise, n=args.n)
-    return _emit(args, _series_csv(series), f"generated {series.n} values ({args.model}, sigma={args.sigma:g})")
+    _emit(args, _series_csv(series), f"generated {series.n} values ({args.model}, sigma={args.sigma:g})")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     config = SimonConfig(p_new=args.p_new, steps=args.steps, seed=args.seed)
     series = simulate_simon(config)
-    return _emit(args, _series_csv(series), f"simulated {config.steps} items over {series.n} sources")
+    _emit(args, _series_csv(series), f"simulated {config.steps} items over {series.n} sources")
 
 
-def _cmd_plotdata(args) -> int:
+def _cmd_plotdata(args) -> None:
     series, warnings, _ = _read_series(args)
     rep = fit_model(series, args.model)
     fitted = models.model_values(rep.params, series.n)
     notes = "".join(f"ranklaws: warning: {w}\n" for w in [*warnings, *rep.warnings])
     summary = f"{notes}{rep.model}: {_format_params(rep.params)} R^2={rep.r_squared:.4f}"
-    return _emit(args, _plot_table(series.values, fitted, rep.residuals), summary)
+    _emit(args, _plot_table(series.values, fitted, rep.residuals), summary)
 
 
 def _plot_table(observed: np.ndarray, fitted: np.ndarray, residuals: np.ndarray) -> Iterator[str]:
@@ -356,14 +356,14 @@ _EXITS = {ValidationError: (64, "error"), _InputError: (1, "error"), FitError: (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = None
+    args, code = None, 0
     try:
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # help printed, or a usage error reported
             code = int(exc.code or 0)
         else:
-            code = args.func(args)
+            args.func(args)
         print(end="", flush=True)  # the last buffered bytes fail here, not at exit; no-op if fd 1 was closed
     except tuple(_EXITS) as exc:
         code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)

@@ -196,23 +196,19 @@ def fit_mandelbrot(series: RankedSeries) -> FitReport:
     _require_length(series, len(models.MandelbrotParams.parameters()) + 1, "mandelbrot fit")
     y = np.log(series.values)
     lo, hi = _RHO_LOWER, 10.0 * series.n
-
-    def objective(rho: float) -> float:
-        return accel.mandelbrot_profile(y, rho)[1]
-
     a, b = lo, hi
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
-    fc, fd = objective(c), objective(d)
+    fc, fd = accel.mandelbrot_profile(y, c)[1], accel.mandelbrot_profile(y, d)[1]
     while b - a > max(_RHO_TOL, 4.0 * math.ulp(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
-            fc = objective(c)
+            fc = accel.mandelbrot_profile(y, c)[1]
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
-            fd = objective(d)
+            fd = accel.mandelbrot_profile(y, d)[1]
     mid = (a + b) / 2.0
     # min keeps the first of equal SSEs, so the search's point wins ties.
     rho, slope, _ = min(((r, *accel.mandelbrot_profile(y, r)) for r in (mid, lo, hi)), key=lambda c: c[2])

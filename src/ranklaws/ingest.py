@@ -190,10 +190,9 @@ def parse_csv(
         more = f" and {missing.size - 10} more" if missing.size > 10 else ""
         raise ValidationError(f"ranks are not a permutation of 1..{kept.size}: "
                               f"missing {missing[:10].tolist()}{more}")
-    if warnings:
-        order = order[kept[order] > 0]
-        if not order.size:
-            raise ValidationError(_ALL_DROPPED)
+    order = order[kept[order] > 0]
+    if not order.size:
+        raise ValidationError(_ALL_DROPPED)
     if row_labels is not None:
         row_labels = tuple(map(row_labels.__getitem__, order.tolist()))
     return RankedSeries(kept[order], row_labels), warnings

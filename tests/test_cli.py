@@ -516,6 +516,45 @@ class TestModuleEntryPoint:
         assert proc.stdout == b""
 
 
+# One zero row among four, raw and pre-ranked: each fit keeps n == 3 and reports one warning.
+ZERO_ROW_TABLES = {"raw": "journal,impact\nA,4.1\nB,0\nC,1.2\nD,0.7\n",
+                   "pre-ranked": "rank,journal,impact\n1,A,4.1\n3,B,0\n2,C,1.2\n4,D,0.7\n"}
+
+
+class TestDevMode:
+    """Each command runs once in a child under ``-X dev -W error``.
+
+    A warning raised in a finalizer, such as the ResourceWarning of a file
+    left open, does not change the exit code: Python only prints
+    "Exception ignored" to stderr. So each run must also leave stderr
+    empty; --quiet keeps the summary off it.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", FIXTURE],
+        ["plotdata", FIXTURE, "--model", "beta-like"],
+        ["generate", "--model", "zipf", "--k", "1", "--alpha", "1", "--n", "20"],
+        ["simulate", "--p-new", "0.1", "--steps", "1000", "--seed", "1"],
+        ["fit", "raw", "--model", "zipf"],
+        ["fit", "pre-ranked", "--model", "zipf", "--pre-ranked"],
+    ], ids=["compare", "plotdata", "generate", "simulate", "fit-raw", "fit-pre-ranked"])
+    def test_no_warning_in_dev_mode(self, argv, tmp_path):
+        table = ZERO_ROW_TABLES.get(argv[1])
+        if table is not None:
+            path = tmp_path / "table.csv"
+            path.write_text(table)
+            argv = [argv[0], str(path), *argv[2:]]
+        src = str(Path(rl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "ranklaws", *argv, "--quiet"],
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout
+        if table is not None:
+            doc = json.loads(proc.stdout)
+            assert doc["series"]["n"] == 3 and len(doc["warnings"]) == 1
+
+
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 
 
@@ -829,10 +868,10 @@ class TestReportEncoding:
                                        rl.NoiseSpec(sigma=0.1, seed=7))
         rep = rl.fit_model(series, "beta-like")
         out = tmp_path / "fit.json"
-        args = cli._build_parser().parse_args(["fit", "in.csv", "--model", "beta-like", "--output", str(out)])
+        args = cli._build_parser().parse_args(["fit", "in.csv", "--model", "beta-like", "--output", str(out),
+                                               "--quiet"])
         chunks = cli._document("0123456789abcdef", series, [], "fit", cli._fit_payload(rep))
-        code, peak = traced_peak(cli._emit, args, chunks, None)
-        assert code == 0
+        _, peak = traced_peak(cli._emit, args, chunks, "summary")
         assert peak < n * 8
         assert json.loads(out.read_text())["fit"]["residuals"] == rep.residuals.tolist()
 

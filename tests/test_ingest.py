@@ -319,6 +319,22 @@ class TestParseCsvPreRanked:
         with pytest.raises(rl.ValidationError, match="permutation"):
             rl.parse_csv("1,4.0\n5,0.0\n3,2.0", options)
 
+    @given(st.lists(st.sampled_from([1e-300, 0.5, 1.0, 3.5, 1e300]) | positive_floats, min_size=1, max_size=40),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_same_series_as_raw(self, values, labelled, random):
+        # The rows of a raw table, each led by its stable descending position and shuffled, parse to the same series.
+        order = np.argsort(-np.array(values), kind="stable")
+        ranks = np.empty(len(values), dtype=int)
+        ranks[order] = np.arange(1, len(values) + 1)
+        rows = [(f"L{i}," if labelled else "") + repr(v) for i, v in enumerate(values)]
+        ranked = [f"{rank},{row}" for rank, row in zip(ranks.tolist(), rows)]
+        random.shuffle(ranked)
+        for labels in (True, False):
+            raw = rl.parse_csv("\n".join(rows), labels=labels)
+            assert rl.parse_csv("\n".join(ranked), self.OPTIONS, labels=labels) == raw
+            assert (raw[0].labels is not None) == (labelled and labels)
+
 
 # Value cells the row loop rejects, warns about, or reads otherwise than a plain split and float() would.
 ODD_VALUES = st.sampled_from(
